@@ -142,7 +142,7 @@ func runFleetBatch(cfg runConfig) (*report, error) {
 	genMS := ms(time.Since(genStart))
 	groupOf := map[string]string{}
 
-	env, setupS, err := setupMedian(3, func() (*clusterEnv, error) {
+	env, setupS, err := setupMedian(servingSetupReps, func() (*clusterEnv, error) {
 		return startCluster(cfg.tmp, serve.PolicyOnlineIL, devices, batchReqID(groupOf))
 	}, (*clusterEnv).close)
 	if err != nil {

@@ -34,7 +34,6 @@ var perLayer = []struct{ name, unit string }{
 	{"experiments.fig3_s", "s"},
 	{"experiments.fig4_s", "s"},
 	{"experiments.fig5_s", "s"},
-	{"experiments.scale_sweep_s", "s"},
 	{"experiments.cpu_util_pct", "%"},
 	{"memo.hits", "count"},
 	{"memo.misses", "count"},

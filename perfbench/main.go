@@ -88,11 +88,10 @@ var workloads = map[string]func(runConfig) (*report, error){
 	"routed-step": runRoutedStep,
 	"fleet-batch": runFleetBatch,
 	"repro":       runReproCold,
-	"label-sweep": runLabelSweep,
 }
 
 func main() {
-	name := flag.String("workload", "", "workload to run: routed-step, fleet-batch, repro, label-sweep")
+	name := flag.String("workload", "", "workload to run: routed-step, fleet-batch, repro")
 	seed := flag.Int64("seed", 1, "input seed; the same seed gives the same inputs")
 	seconds := flag.Int("seconds", 15, "measured seconds per run")
 	trace := flag.Int("trace", 0, "1 = traced run printing per-layer metrics, 0 = end-to-end metrics")
@@ -203,6 +202,13 @@ func cpuTime() time.Duration {
 
 // nproc is the number of CPUs the runtime schedules on.
 func nproc() int { return runtime.GOMAXPROCS(0) }
+
+// Set-up repetitions per run: a serving set-up takes 0.1-0.25 s, a repro
+// set-up under a millisecond.
+const (
+	servingSetupReps = 9
+	reproSetupReps   = 51
+)
 
 // setupMedian runs setup n times, keeps the last environment, releases the
 // others, and returns the median set-up time in seconds. Repeating set-up

@@ -21,10 +21,6 @@ const (
 	routedNominal = 2000.0 // steps/s: one decision per device every 256 ms
 	routedLimitMS = 5.0    // p99 limit, <= 2.5% of the 217 ms mean decision period
 	routedClients = 2
-	// pctWindow is the window step percentiles are taken over before the
-	// median across windows: 1,000 steps at the nominal rate, ten beyond
-	// the p99.
-	pctWindow = 500 * time.Millisecond
 )
 
 // slot is one scheduled step: when it is due and which device sends it.
@@ -161,7 +157,7 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 	}
 	genMS := ms(time.Since(genStart))
 
-	env, setupS, err := setupMedian(3, func() (*clusterEnv, error) {
+	env, setupS, err := setupMedian(servingSetupReps, func() (*clusterEnv, error) {
 		return startCluster(cfg.tmp, serve.PolicyOfflineIL, devices, stepReqID)
 	}, (*clusterEnv).close)
 	if err != nil {
@@ -187,13 +183,12 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 			return nil, errNoWork
 		}
 		lat := latenciesMS(samples)
-		p99 := windowPct(samples, pctWindow, 0.99)
 		rep.timing("step latency from due at nominal rate", lat)
 		rep.timing("generator lateness", latenessMS(samples))
-		rep.note("p99 %.3f ms (median of %v windows) against the %.0f ms limit", p99, pctWindow, routedLimitMS)
+		rep.note("p99 %.3f ms against the %.0f ms limit", percentile(lat, 0.99), routedLimitMS)
 		rep.set("setup_s", setupS, "s")
 		rep.set("p50_ms", median(lat), "ms")
-		rep.set("p90_ms", windowPct(samples, pctWindow, 0.9), "ms")
+		rep.set("p90_ms", percentile(lat, 0.9), "ms")
 		rep.set("ops_per_cpu_s", float64(len(samples))/cpu.Seconds(), "1/s")
 	} else {
 		half := cfg.duration / 2
@@ -210,7 +205,7 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 		rep.set("gen.late_p50_ms", median(late), "ms")
 		rep.set("gen.late_p99_ms", percentile(late, 0.99), "ms")
 		rep.set("trace.overhead_p50_ms", median(latenciesMS(traced))-median(latenciesMS(base)), "ms")
-		rep.set("trace.overhead_p90_ms", windowPct(traced, pctWindow, 0.9)-windowPct(base, pctWindow, 0.9), "ms")
+		rep.set("trace.overhead_p90_ms", percentile(latenciesMS(traced), 0.9)-percentile(latenciesMS(base), 0.9), "ms")
 		rep.set("workload.gen_ms", genMS, "ms")
 		if err := writeSpans(rep, tr, cfg, "routed-step"); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"reflect"
 	"time"
 
 	"socrm/internal/experiments"
@@ -15,20 +16,19 @@ import (
 	"socrm/internal/workload"
 )
 
-// The science workloads run the paper pipeline through the experiments
-// package: repro is a full cold reproduction into a fresh on-disk memo
-// cache, and label-sweep is one cold experiments.ScaleSweep over the
-// 25 MHz lattice. Every operation's results are digested and compared
-// with the values recorded for its seed.
+// The repro workload runs the paper pipeline through the experiments
+// package: each operation is a full cold reproduction into a fresh on-disk
+// memo cache. Every operation's results are digested and compared with the
+// values recorded for its seed.
 
 // phases of one reproduction, in socrepro -exp all order.
 var reproPhases = []string{"study", "fig2", "table2", "fig3", "fig4", "fig5"}
 
-// paperSeed is the experiment seed of the paper reproduction and of the
-// -exp scale sweep (socrepro's default). The science workloads always run
-// it: other seeds change how much work Fig3 and Fig4 do by up to 25%, which
-// would read as run-to-run noise. --seed therefore does not change their
-// inputs; their outputs are checked against the digests recorded for it.
+// paperSeed is the experiment seed of the paper reproduction (socrepro's
+// default). repro always runs it: other seeds change how much work Fig3 and
+// Fig4 do by up to 25%, which would read as run-to-run noise. --seed
+// therefore does not change its inputs; its outputs are checked against the
+// digests recorded for it.
 const paperSeed = 42
 
 func digest(v any) string {
@@ -42,6 +42,7 @@ type reproRun struct {
 	cpu     map[string]time.Duration
 	digests map[string]string
 	stats   memo.Stats
+	apps    []workload.Application // the study's suites, in AllApps order
 }
 
 // reproduce runs every paper artifact once through cache, timing each phase
@@ -63,6 +64,7 @@ func reproduce(seed int64, maxSnippets int, cache *memo.Cache, tr *tracer) (repr
 	if err != nil {
 		return out, err
 	}
+	out.apps = append(append(append(out.apps, study.MiBench...), study.Cortex...), study.Parsec...)
 	timed("table2", func() { out.digests["Table2"] = digest(study.Table2()) })
 	timed("fig3", func() { out.digests["Fig3"] = digest(study.Fig3()) })
 	timed("fig4", func() { out.digests["Fig4"] = digest(study.Fig4()) })
@@ -195,36 +197,41 @@ func memoLayers(rep *report, cold, warm memo.Stats) {
 	rep.set("memo.bytes", float64(cold.Bytes), "B")
 }
 
-// warmUp runs a tiny reproduction so lazy runtime set-up (heap growth,
-// first-touch pages) finishes before timing.
-func warmUp(tmp string, seed int64) error {
-	dir, err := os.MkdirTemp(tmp, "warmup-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cache, err := newCache(dir)
-	if err != nil {
-		return err
-	}
-	_, err = reproduce(seed, 8, cache, nil)
-	return err
+// reproSetup is what a run prepares before its first reproduction.
+type reproSetup struct {
+	apps []workload.Application
+	dir  string
 }
 
 func runReproCold(cfg runConfig) (*report, error) {
 	seed, sz := int64(paperSeed), sizesFor(cfg)
-	_, setupS, err := setupMedian(3, func() (struct{}, error) { return struct{}{}, warmUp(cfg.tmp, seed) }, func(struct{}) {})
+	// Set-up is what the benchmark needs before its first cold
+	// reproduction: the paper suite the study must run on, generated
+	// independently to check the study's own, and a fresh scratch directory
+	// with a memo cache opened over it, which the first reproduction uses.
+	setup, setupS, err := setupMedian(reproSetupReps, func() (reproSetup, error) {
+		s := reproSetup{apps: truncateApps(workload.AllApps(seed), sz.maxSnippets)}
+		var err error
+		if s.dir, err = os.MkdirTemp(cfg.tmp, "memo-"); err == nil {
+			_, err = newCache(s.dir)
+		}
+		return s, err
+	}, func(s reproSetup) { os.RemoveAll(s.dir) })
 	if err != nil {
 		return nil, err
 	}
 	rep := newReport()
 	var traced []reproRun
 	var first, warm reproRun
+	var warmCPU time.Duration
 	tr := newTracer()
 	ot, err := measureOps(cfg, tr, func(tr *tracer) (time.Duration, error) {
-		dir, err := os.MkdirTemp(cfg.tmp, "memo-")
-		if err != nil {
-			return 0, err
+		dir := setup.dir
+		if rep.Attempted > 0 {
+			var err error
+			if dir, err = os.MkdirTemp(cfg.tmp, "memo-"); err != nil {
+				return 0, err
+			}
 		}
 		defer os.RemoveAll(dir)
 		r, err := reproduceIn(dir, seed, sz, tr)
@@ -232,15 +239,18 @@ func runReproCold(cfg runConfig) (*report, error) {
 			return 0, err
 		}
 		checkDigests(rep, "cold", seed, sz, r.digests)
+		rep.check(reflect.DeepEqual(r.apps, setup.apps), "the study's suites differ from workload.AllApps(%d)", seed)
 		if rep.Attempted == 0 {
 			// A warm replay through a new cache over the same directory
 			// must reproduce the cold results from the cache alone. It is
 			// not timed: a warm reproduction is ~99.8% Fig3 and Fig4,
 			// which the cold one already measures.
 			first = r
+			c0 := cpuTime()
 			if warm, err = reproduceIn(dir, seed, sz, nil); err != nil {
 				return 0, err
 			}
+			warmCPU = cpuTime() - c0
 			for k, v := range r.digests {
 				rep.check(warm.digests[k] == v, "warm %s digest %s differs from cold %s", k, warm.digests[k], v)
 			}
@@ -256,6 +266,7 @@ func runReproCold(cfg runConfig) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
+	ot.cpu -= warmCPU // the warm replay is a check, not a cold operation
 	if !cfg.trace {
 		ot.endToEnd(rep, "cold reproduction", setupS, 1)
 		return rep, nil
@@ -309,7 +320,7 @@ func trainProbe(rep *report, tr *tracer, seed int64, sz reproSizes) error {
 }
 
 // labelProbe labels apps with an uncached energy Oracle on the worker-pool
-// shape NewStudy and ScaleSweep use, reporting the time and the cost per
+// shape NewStudy uses, reporting the time and the cost per
 // configuration evaluated per worker.
 func labelProbe(rep *report, tr *tracer, p *soc.Platform, apps []workload.Application) [][]oracle.Label {
 	orc := oracle.NewNamed(p, oracle.ObjEnergy)
@@ -340,68 +351,4 @@ func truncateApps(apps []workload.Application, n int) []workload.Application {
 		}
 	}
 	return apps
-}
-
-// The label sweep: paper trace length, 25 MHz lattice, energy objective.
-const (
-	sweepStepMHz   = 25
-	sweepObjective = oracle.ObjEnergy
-)
-
-func sweepOptions(seed int64, tiny bool) experiments.ScaleOptions {
-	opt := experiments.ScaleOptions{Seed: seed, SnippetFactor: 1, FreqStepMHz: sweepStepMHz,
-		Objectives: []string{sweepObjective}, Workers: nproc()}
-	if tiny {
-		opt.MaxSnippets = 2
-	}
-	return opt
-}
-
-func runLabelSweep(cfg runConfig) (*report, error) {
-	seed := int64(paperSeed)
-	opt := sweepOptions(seed, cfg.tiny)
-	_, setupS, err := setupMedian(3, func() (struct{}, error) {
-		w := opt
-		w.MaxSnippets = 4
-		_, err := experiments.ScaleSweep(w)
-		return struct{}{}, err
-	}, func(struct{}) {})
-	if err != nil {
-		return nil, err
-	}
-	rep := newReport()
-	var res experiments.ScaleResult
-	tr := newTracer()
-	ot, err := measureOps(cfg, tr, func(tr *tracer) (time.Duration, error) {
-		var err error
-		d := tr.time("experiments.scale_sweep", func() { res, err = experiments.ScaleSweep(opt) })
-		if err != nil {
-			return 0, err
-		}
-		rep.Attempted++
-		want, ok := recordedSweep[digestKey{seed, opt.MaxSnippets}]
-		rep.check(ok && len(res.PerObjective) == 1 && res.PerObjective[0].Digest == want,
-			"sweep digest %v, recorded %q", res.PerObjective, want)
-		return d, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !cfg.trace {
-		rep.note("lattice %d configs x %d snippets", res.Configs, res.Snippets)
-		// An operation here is one configuration evaluated.
-		ot.endToEnd(rep, "cold label sweep", setupS, float64(res.Configs*res.Snippets))
-		return rep, nil
-	}
-	if len(ot.traced) == 0 {
-		return nil, errNoWork
-	}
-	rep.set("experiments.scale_sweep_s", median(ot.traced)/1e3, "s")
-	ot.overhead(rep)
-	p := soc.NewXU3WithStep(sweepStepMHz)
-	genStart := time.Now()
-	apps := truncateApps(workload.AllAppsScaled(seed, 1), opt.MaxSnippets)
-	rep.set("workload.gen_ms", ms(time.Since(genStart)), "ms")
-	labelProbe(rep, tr, p, apps)
-	return rep, writeSpans(rep, tr, cfg, "label-sweep")
 }

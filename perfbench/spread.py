@@ -3,13 +3,14 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/spread.py [--runs 10] [--seconds 15] [--trace 0]
-                                [--workloads a,b] [--json out.json]
+    python3 perfbench/spread.py [--runs 10] [--workloads a,b] [--json out.json]
 
-For every workload and metric it prints the median, the first and third
+Every run is an untraced run of run_seconds from BENCHMARK.json. For every
+workload and end-to-end metric it prints the median, the first and third
 quartiles (statistics.quantiles(values, n=4)) and the spread, the distance
-between the quartiles as a share of the median. --json writes the same
-figures plus every run's raw values. Seeds are 1..runs.
+between the quartiles as a share of the median, flagged when it is above a
+third of the metric's bound. --json writes the same figures plus every run's
+raw values. Seeds are 1..runs.
 """
 import argparse
 import json
@@ -21,13 +22,12 @@ import sys
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=15)
-    ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--workloads", default="")
     ap.add_argument("--json", default="")
     args = ap.parse_args()
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
+    seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
     if args.workloads:
         names = args.workloads.split(",")
@@ -37,7 +37,7 @@ def main():
         values = {}
         for seed in range(1, args.runs + 1):
             cmd = bench["command"] + ["--workload", name, "--seed", str(seed),
-                                      "--seconds", str(args.seconds), "--trace", str(args.trace)]
+                                      "--seconds", str(seconds), "--trace", "0"]
             res = subprocess.run(cmd, capture_output=True, text=True)
             last = res.stdout.strip().splitlines()[-1] if res.stdout.strip() else ""
             if res.returncode != 0:
@@ -53,14 +53,14 @@ def main():
             d.update(median=med, q1=q1, q3=q3, spread=(q3 - q1) / med if med else 0.0)
             b = bounds.get(metric)
             flag = ""
-            if b is not None and metric != "setup_s" and d["spread"] > b / 3:
+            if b is not None and d["spread"] > b / 3:
                 flag = "  <-- above a third of the bound" if d["spread"] <= b else "  <-- ABOVE BOUND"
             print(f"  {name:12s} {metric:28s} median {med:12.5g} {d['unit']:6s} "
                   f"q1 {q1:12.5g} q3 {q3:12.5g} spread {100 * d['spread']:6.2f}%{flag}", flush=True)
         out[name] = values
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"runs": args.runs, "seconds": args.seconds, "trace": args.trace,
+            json.dump({"runs": args.runs, "seconds": seconds, "trace": 0,
                        "workloads": out}, f, indent=1, sort_keys=True)
             f.write("\n")
 

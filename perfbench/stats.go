@@ -72,29 +72,3 @@ func latenessMS(ss []sample) []float64 {
 	}
 	return out
 }
-
-// windowPct splits samples (sorted by due time) into consecutive windows
-// of the given length and returns the median over windows of each
-// window's q-quantile latency in ms. One stalled window then moves the
-// figure by one rank instead of dominating the pooled tail. Windows with
-// fewer than ten samples beyond their quantile are merged forward.
-func windowPct(ss []sample, window time.Duration, q float64) float64 {
-	minN := int(math.Ceil(10 / (1 - q)))
-	var qs []float64
-	var cur []float64
-	end := window
-	for _, s := range ss {
-		for s.due >= end {
-			if len(cur) >= minN {
-				qs = append(qs, percentile(cur, q))
-				cur = cur[:0]
-			}
-			end += window
-		}
-		cur = append(cur, ms(s.latency()))
-	}
-	if len(cur) >= minN || len(qs) == 0 {
-		qs = append(qs, percentile(cur, q))
-	}
-	return median(qs)
-}

@@ -55,32 +55,6 @@ func TestLatenessArithmetic(t *testing.T) {
 	}
 }
 
-// windowPct reports the median of per-window quantiles, so a stall confined
-// to one window of three does not move it.
-func TestWindowPctMedianOfWindows(t *testing.T) {
-	var ss []sample
-	for w := 0; w < 3; w++ {
-		for i := 0; i < 1000; i++ {
-			due := time.Duration(w)*time.Second + time.Duration(i)*time.Millisecond
-			lat := time.Millisecond
-			if w == 1 && i >= 900 {
-				lat = 50 * time.Millisecond // a stall in the middle window
-			}
-			ss = append(ss, sample{due: due, sent: due, done: due + lat})
-		}
-	}
-	if got := windowPct(ss, time.Second, 0.99); got != 1 {
-		t.Errorf("windowed p99 = %v ms, want 1", got)
-	}
-	if got := percentile(latenciesMS(ss), 0.99); got != 50 {
-		t.Errorf("pooled p99 = %v ms, want 50", got)
-	}
-	// Windows too small to hold ten samples beyond p99 merge forward.
-	if got := windowPct(ss[:500], 100*time.Millisecond, 0.99); got != 1 {
-		t.Errorf("merged-window p99 = %v", got)
-	}
-}
-
 func TestOpenScheduleRate(t *testing.T) {
 	phase := make([]float64, 512)
 	for i := range phase {
