@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,7 +21,7 @@ import (
 // the way the cluster tests do: two backends (serve.Server behind
 // cluster.BackendHandler) and a probed cluster.Router in front. Backends
 // are configured like `socserved -mode backend` with its defaults: a
-// bootstrapped policy file, warm online models, one background trainer.
+// bootstrapped policy file, warm online models.
 
 // policySeed fixes the bootstrap policy and warm models: they are the
 // deployment, not the workload; --seed varies the devices' traces.
@@ -93,8 +92,10 @@ func writePolicy(p *soc.Platform, dir string) (string, error) {
 	return path, os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// newBackendServer builds one backend daemon over the policy file.
-func newBackendServer(p *soc.Platform, policyPath string) (*serve.Server, *serve.PolicyStore, error) {
+// newBackendServer builds one backend daemon over the policy file, with
+// trainWorkers background trainers for online-il sessions (0 trains inside
+// the decide path, like `socserved -train-workers 0`).
+func newBackendServer(p *soc.Platform, policyPath string, trainWorkers int) (*serve.Server, *serve.PolicyStore, error) {
 	store := serve.NewPolicyStore(policyPath, p)
 	if err := store.Load(); err != nil {
 		return nil, nil, err
@@ -105,7 +106,7 @@ func newBackendServer(p *soc.Platform, policyPath string) (*serve.Server, *serve
 		Models:       serve.WarmModels(p, policySeed, 40),
 		MaxSessions:  1024,
 		SeedBase:     policySeed,
-		TrainWorkers: 1,
+		TrainWorkers: trainWorkers,
 	})
 	return srv, store, nil
 }
@@ -120,36 +121,9 @@ func stepReqID(r *http.Request) (string, int, bool) {
 	return id, 1, ok
 }
 
-// batchReqID identifies a batch request by the fleet group of its first
-// session (each group has one batch in flight) and counts its records. It
-// reads the body and puts it back.
-func batchReqID(groupOf map[string]string) func(*http.Request) (string, int, bool) {
-	return func(r *http.Request) (string, int, bool) {
-		if r.URL.Path != "/v1/step/batch" {
-			return "", 0, false
-		}
-		body, err := io.ReadAll(r.Body)
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		if err != nil {
-			return "", 0, false
-		}
-		const key = `"session":"`
-		i := bytes.Index(body, []byte(key))
-		if i < 0 {
-			return "", 0, false
-		}
-		rest := body[i+len(key):]
-		j := bytes.IndexByte(rest, '"')
-		if j < 0 {
-			return "", 0, false
-		}
-		return groupOf[string(rest[:j])], bytes.Count(body, []byte(`"counters"`)), true
-	}
-}
-
 // startCluster brings up two backends and a router, then creates one
 // session per device through the router.
-func startCluster(tmp string, policy string, devices []*device, reqID func(*http.Request) (string, int, bool)) (*clusterEnv, error) {
+func startCluster(tmp string, policy string, trainWorkers int, devices []*device, reqID func(*http.Request) (string, int, bool)) (*clusterEnv, error) {
 	dir, err := os.MkdirTemp(tmp, "cluster-")
 	if err != nil {
 		return nil, err
@@ -162,7 +136,7 @@ func startCluster(tmp string, policy string, devices []*device, reqID func(*http
 	urls := make([]string, 2)
 	drainers := make([]*cluster.Drainer, 2)
 	for i := range urls {
-		srv, store, err := newBackendServer(env.p, policyPath)
+		srv, store, err := newBackendServer(env.p, policyPath, trainWorkers)
 		if err != nil {
 			env.close()
 			return nil, err

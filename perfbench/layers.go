@@ -98,6 +98,11 @@ func servingLayers(rep *report, env *clusterEnv, tr *tracer) {
 	rep.set("cluster.sheds", c.routerSheds, "count")
 	rep.set("serve.sheds", c.serveSheds, "count")
 	rep.set("serve.steps", c.steps, "count")
+	rep.note("mean decide %.2f us over %.0f decides", 1e3*meanDecideMS, c.decideCount)
+}
+
+// trainLayers reports the background trainers' series.
+func trainLayers(rep *report, c servingCounters) {
 	rep.set("il.train_swaps", c.trainSwaps, "count")
 	rep.set("il.train_samples", c.trainSamples, "count")
 	drop := 0.0
@@ -105,7 +110,13 @@ func servingLayers(rep *report, env *clusterEnv, tr *tracer) {
 		drop = 100 * c.trainDropped / in
 	}
 	rep.set("il.train_drop_pct", drop, "%")
-	rep.note("mean decide %.2f us over %.0f decides", 1e3*meanDecideMS, c.decideCount)
+}
+
+// traceOverhead reports traced minus untraced operation times (ms) from
+// the same run.
+func traceOverhead(rep *report, untraced, traced []float64) {
+	rep.set("trace.overhead_p50_ms", median(traced)-median(untraced), "ms")
+	rep.set("trace.overhead_p90_ms", percentile(traced, 0.9)-percentile(untraced, 0.9), "ms")
 }
 
 // writeSpans stores the traced half's spans under the spans directory.

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"syscall"
 	"time"
@@ -79,19 +80,31 @@ func (r *report) note(format string, args ...any) {
 	r.notes = append(r.notes, fmt.Sprintf(format, args...))
 }
 
-// timing reports a set of operation times as p50 and p99 with its count.
-func (r *report) timing(prefix string, msSamples []float64) {
-	r.note("%s: p50 %.4f ms  p99 %.4f ms  n=%d", prefix, median(msSamples), percentile(msSamples, 0.99), len(msSamples))
+// timing prints a set of operation times as percentiles with its count.
+func (r *report) timing(what string, msSamples []float64) {
+	r.note("%s: p10 %.4f  p50 %.4f  p90 %.4f  p99 %.4f ms  n=%d", what, percentile(msSamples, 0.1),
+		median(msSamples), percentile(msSamples, 0.9), percentile(msSamples, 0.99), len(msSamples))
+}
+
+// endToEnd sets an untraced run's metrics: its operation times in ms, the
+// heap bytes it allocated per operation, and the peak RSS so far. It is
+// called when the timed loop ends, before the checks that follow it
+// allocate memory of their own.
+func (r *report) endToEnd(what string, msSamples []float64, setupS, allocPerOp float64) {
+	r.timing(what, msSamples)
+	r.set("setup_s", setupS, "s")
+	r.set("p50_ms", median(msSamples), "ms")
+	r.set("alloc_kb_per_op", allocPerOp/1024, "KB")
+	r.set("peak_rss_mb", peakRSSMB(), "MB")
 }
 
 var workloads = map[string]func(runConfig) (*report, error){
 	"routed-step": runRoutedStep,
-	"fleet-batch": runFleetBatch,
 	"repro":       runReproCold,
 }
 
 func main() {
-	name := flag.String("workload", "", "workload to run: routed-step, fleet-batch, repro")
+	name := flag.String("workload", "", "workload to run: routed-step, repro")
 	seed := flag.Int64("seed", 1, "input seed; the same seed gives the same inputs")
 	seconds := flag.Int("seconds", 15, "measured seconds per run")
 	trace := flag.Int("trace", 0, "1 = traced run printing per-layer metrics, 0 = end-to-end metrics")
@@ -142,8 +155,6 @@ func run(name string, fn func(runConfig) (*report, error), cfg runConfig) int {
 	}
 	if cfg.trace {
 		completeLayers(rep)
-	} else {
-		rep.set("peak_rss_mb", peakRSSMB(), "MB")
 	}
 	rep.Correct = len(rep.failures) == 0
 	mode := "end-to-end"
@@ -200,6 +211,13 @@ func cpuTime() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
+// heapAllocBytes is the process's cumulative heap allocation in bytes.
+func heapAllocBytes() float64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64())
+}
+
 // nproc is the number of CPUs the runtime schedules on.
 func nproc() int { return runtime.GOMAXPROCS(0) }
 
@@ -209,6 +227,9 @@ const (
 	servingSetupReps = 9
 	reproSetupReps   = 51
 )
+
+// warmup is the untimed load a serving run offers before it measures.
+const warmup = time.Second
 
 // setupMedian runs setup n times, keeps the last environment, releases the
 // others, and returns the median set-up time in seconds. Repeating set-up

@@ -158,7 +158,7 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 	genMS := ms(time.Since(genStart))
 
 	env, setupS, err := setupMedian(servingSetupReps, func() (*clusterEnv, error) {
-		return startCluster(cfg.tmp, serve.PolicyOfflineIL, devices, stepReqID)
+		return startCluster(cfg.tmp, serve.PolicyOfflineIL, 0, devices, stepReqID)
 	}, (*clusterEnv).close)
 	if err != nil {
 		return nil, err
@@ -175,21 +175,20 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 	}
 
 	rep := newReport()
+	g.runPhase(sz.nominal, warmup, true, nil)
 	if !cfg.trace {
-		cpu0 := cpuTime()
+		cpu0, alloc0 := cpuTime(), heapAllocBytes()
 		samples := g.runPhase(sz.nominal, cfg.duration, true, nil)
-		cpu := cpuTime() - cpu0
+		cpu, alloc := cpuTime()-cpu0, heapAllocBytes()-alloc0
 		if len(samples) == 0 {
 			return nil, errNoWork
 		}
 		lat := latenciesMS(samples)
-		rep.timing("step latency from due at nominal rate", lat)
+		rep.timing("step latency from due", lat)
 		rep.timing("generator lateness", latenessMS(samples))
-		rep.note("p99 %.3f ms against the %.0f ms limit", percentile(lat, 0.99), routedLimitMS)
-		rep.set("setup_s", setupS, "s")
-		rep.set("p50_ms", median(lat), "ms")
-		rep.set("p90_ms", percentile(lat, 0.9), "ms")
-		rep.set("ops_per_cpu_s", float64(len(samples))/cpu.Seconds(), "1/s")
+		rep.note("p99 from due %.3f ms against the %.0f ms limit", percentile(lat, 0.99), routedLimitMS)
+		rep.note("steps per CPU-second: %.1f", float64(len(samples))/cpu.Seconds())
+		rep.endToEnd("step service time", serviceMS(samples), setupS, alloc/float64(len(samples)))
 	} else {
 		half := cfg.duration / 2
 		base := g.runPhase(sz.nominal, half, true, nil)
@@ -204,8 +203,7 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 		late := latenessMS(base)
 		rep.set("gen.late_p50_ms", median(late), "ms")
 		rep.set("gen.late_p99_ms", percentile(late, 0.99), "ms")
-		rep.set("trace.overhead_p50_ms", median(latenciesMS(traced))-median(latenciesMS(base)), "ms")
-		rep.set("trace.overhead_p90_ms", percentile(latenciesMS(traced), 0.9)-percentile(latenciesMS(base), 0.9), "ms")
+		traceOverhead(rep, serviceMS(base), serviceMS(traced))
 		rep.set("workload.gen_ms", genMS, "ms")
 		if err := writeSpans(rep, tr, cfg, "routed-step"); err != nil {
 			return nil, err
@@ -217,7 +215,36 @@ func runRoutedStep(cfg runConfig) (*report, error) {
 	if err := twinCheck(rep, env, serve.PolicyOfflineIL); err != nil {
 		return nil, err
 	}
+	if cfg.trace {
+		if err := asyncTrainPhase(rep, cfg, g, sz.nominal); err != nil {
+			return nil, err
+		}
+	}
 	return rep, nil
+}
+
+// asyncTrainPhase measures the il.train_* layers: the same open loop on
+// online-il sessions, on a cluster of its own whose backends train on
+// socserved's default single background worker. How much training that
+// worker does depends on how fast the host runs, so it is traced, not
+// timed for the end-to-end metrics.
+func asyncTrainPhase(rep *report, cfg runConfig, g *openLoop, rate float64) error {
+	env, err := startCluster(cfg.tmp, serve.PolicyOnlineIL, 1, g.env.devices, stepReqID)
+	if err != nil {
+		return err
+	}
+	defer env.close()
+	g.env = env
+	for c := range g.clients {
+		g.clients[c].BaseURL = env.front.URL
+	}
+	before := g.attempted
+	g.runPhase(rate, cfg.duration/2, false, nil)
+	c := env.counters()
+	rep.check(int(c.steps) == g.attempted-before, "online-il backends decided %d steps, %d attempted", int(c.steps), g.attempted-before)
+	trainLayers(rep, c)
+	rep.Attempted, rep.Failed = g.attempted, g.failed
+	return nil
 }
 
 // twinCheck replays every device's recorded telemetry into a fresh

@@ -109,7 +109,6 @@ func checkDigests(rep *report, what string, seed int64, sz reproSizes, got map[s
 // opTimes are one run's operation times in ms.
 type opTimes struct {
 	untraced, traced []float64
-	cpu              time.Duration // process CPU time over the untraced run
 }
 
 // measureOps runs op until the run's duration has passed (at least once).
@@ -122,7 +121,6 @@ func measureOps(cfg runConfig, tr *tracer, op func(*tracer) (time.Duration, erro
 	if cfg.trace {
 		minOps = 2
 	}
-	cpu0 := cpuTime()
 	start := time.Now()
 	for i := 0; i < minOps || time.Since(start) < cfg.duration; i++ {
 		t := tr
@@ -139,24 +137,7 @@ func measureOps(cfg runConfig, tr *tracer, op func(*tracer) (time.Duration, erro
 			out.traced = append(out.traced, ms(d))
 		}
 	}
-	out.cpu = cpuTime() - cpu0
 	return out, nil
-}
-
-// endToEnd reports an untraced run's metrics; work is the number of
-// operations one timed operation counts for.
-func (ot opTimes) endToEnd(rep *report, what string, setupS, work float64) {
-	rep.timing(what, ot.untraced)
-	rep.set("setup_s", setupS, "s")
-	rep.set("p50_ms", median(ot.untraced), "ms")
-	rep.set("p90_ms", percentile(ot.untraced, 0.9), "ms")
-	rep.set("ops_per_cpu_s", work*float64(len(ot.untraced))/ot.cpu.Seconds(), "1/s")
-}
-
-// overhead reports traced minus untraced operation times.
-func (ot opTimes) overhead(rep *report) {
-	rep.set("trace.overhead_p50_ms", median(ot.traced)-median(ot.untraced), "ms")
-	rep.set("trace.overhead_p90_ms", percentile(ot.traced, 0.9)-percentile(ot.untraced, 0.9), "ms")
 }
 
 // phaseLayers reports per-phase medians and the process CPU utilization
@@ -223,7 +204,7 @@ func runReproCold(cfg runConfig) (*report, error) {
 	rep := newReport()
 	var traced []reproRun
 	var first, warm reproRun
-	var warmCPU time.Duration
+	var allocs []float64 // heap bytes of each untraced cold reproduction
 	tr := newTracer()
 	ot, err := measureOps(cfg, tr, func(tr *tracer) (time.Duration, error) {
 		dir := setup.dir
@@ -234,9 +215,13 @@ func runReproCold(cfg runConfig) (*report, error) {
 			}
 		}
 		defer os.RemoveAll(dir)
+		a0 := heapAllocBytes()
 		r, err := reproduceIn(dir, seed, sz, tr)
 		if err != nil {
 			return 0, err
+		}
+		if tr == nil {
+			allocs = append(allocs, heapAllocBytes()-a0)
 		}
 		checkDigests(rep, "cold", seed, sz, r.digests)
 		rep.check(reflect.DeepEqual(r.apps, setup.apps), "the study's suites differ from workload.AllApps(%d)", seed)
@@ -246,11 +231,9 @@ func runReproCold(cfg runConfig) (*report, error) {
 			// not timed: a warm reproduction is ~99.8% Fig3 and Fig4,
 			// which the cold one already measures.
 			first = r
-			c0 := cpuTime()
 			if warm, err = reproduceIn(dir, seed, sz, nil); err != nil {
 				return 0, err
 			}
-			warmCPU = cpuTime() - c0
 			for k, v := range r.digests {
 				rep.check(warm.digests[k] == v, "warm %s digest %s differs from cold %s", k, warm.digests[k], v)
 			}
@@ -266,9 +249,8 @@ func runReproCold(cfg runConfig) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ot.cpu -= warmCPU // the warm replay is a check, not a cold operation
 	if !cfg.trace {
-		ot.endToEnd(rep, "cold reproduction", setupS, 1)
+		rep.endToEnd("cold reproduction", ot.untraced, setupS, median(allocs))
 		return rep, nil
 	}
 	if len(traced) == 0 {
@@ -278,7 +260,7 @@ func runReproCold(cfg runConfig) (*report, error) {
 	memoLayers(rep, first.stats, warm.stats)
 	rep.set("memo.warm_study_ms", ms(warm.phase["study"]), "ms")
 	rep.note("warm replay: %.0f ms, %v", ms(warm.wall), warm.stats)
-	ot.overhead(rep)
+	traceOverhead(rep, ot.untraced, ot.traced)
 	if err := trainProbe(rep, tr, seed, sz); err != nil {
 		return nil, err
 	}

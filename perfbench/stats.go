@@ -51,16 +51,28 @@ type sample struct {
 // a stall that delays later sends is charged to those sends too.
 func (s sample) latency() time.Duration { return s.done - s.due }
 
+// service is the time from when the request was sent to when its reply
+// arrived: what the program took, without the generator's own lateness.
+func (s sample) service() time.Duration { return s.done - s.sent }
+
 // lateness is how far behind its schedule the generator sent it.
 func (s sample) lateness() time.Duration { return s.sent - s.due }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// latenciesMS and latenessMS project samples to milliseconds.
+// latenciesMS, serviceMS and latenessMS project samples to milliseconds.
 func latenciesMS(ss []sample) []float64 {
 	out := make([]float64, len(ss))
 	for i, s := range ss {
 		out[i] = ms(s.latency())
+	}
+	return out
+}
+
+func serviceMS(ss []sample) []float64 {
+	out := make([]float64, len(ss))
+	for i, s := range ss {
+		out[i] = ms(s.service())
 	}
 	return out
 }

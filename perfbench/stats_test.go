@@ -41,11 +41,15 @@ func TestMedian(t *testing.T) {
 }
 
 // Lateness and latency are both measured from the due time: a step sent
-// 2 ms late that took 1 ms to answer counts 3 ms of latency.
+// 2 ms late that took 1 ms to answer counts 3 ms of latency and 1 ms of
+// service time.
 func TestLatenessArithmetic(t *testing.T) {
 	s := sample{due: 10 * time.Millisecond, sent: 12 * time.Millisecond, done: 13 * time.Millisecond}
-	if s.lateness() != 2*time.Millisecond || s.latency() != 3*time.Millisecond {
-		t.Fatalf("lateness %v latency %v", s.lateness(), s.latency())
+	if s.lateness() != 2*time.Millisecond || s.latency() != 3*time.Millisecond || s.service() != time.Millisecond {
+		t.Fatalf("lateness %v latency %v service %v", s.lateness(), s.latency(), s.service())
+	}
+	if got := serviceMS([]sample{s})[0]; got != 1 {
+		t.Errorf("serviceMS = %v", got)
 	}
 	if got := latenessMS([]sample{s})[0]; got != 2 {
 		t.Errorf("latenessMS = %v", got)

@@ -136,8 +136,8 @@ func selfTime(parent span, children []span) time.Duration {
 
 // pairContained links each span named childName to the span named
 // parentName that has the same request id and contains it in time. Ids are
-// chosen so that one request per id is in flight (a session's step, or a
-// fleet group's batch), which makes the containing parent unique. It
+// chosen so that one request per id is in flight (a session's step), which
+// makes the containing parent unique. It
 // returns the number of children paired.
 func (t *tracer) pairContained(parentName, childName string) int {
 	parents := map[string][]int{}
