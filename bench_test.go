@@ -1080,7 +1080,7 @@ func BenchmarkRouterStepUnderShedding(b *testing.B) {
 	rt := cluster.NewRouter(cluster.RouterOptions{
 		Backends:    []string{backend.URL},
 		MaxInflight: 1,
-		CallTimeout: time.Minute,
+		Peer:        cluster.Peer{Timeout: time.Minute},
 	})
 	defer rt.Stop()
 	rt.Probe()

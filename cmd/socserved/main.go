@@ -112,7 +112,6 @@ func main() {
 	replayBatch := flag.Int("replay-batch", 1, "telemetry records per replay step request")
 	replayPolicy := flag.String("replay-policy", "offline-il", "session policy replay clients request")
 	replayDirect := flag.Bool("replay-direct", false, "replay through the in-process fast path instead of HTTP (measures the serving layer, not JSON)")
-	replayTargets := flag.String("replay-targets", "", "comma-separated backend URLs sampled during replay for per-backend session distribution (point -replay at a router to measure its spread)")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -149,14 +148,13 @@ func main() {
 			log.Printf("CHAOS PARTITION: this process cannot reach %v", hosts)
 		}
 	}
-	// outboundTransport chaos-wraps every client this process dials with, so
-	// -chaos-partition blackholes the real traffic (router calls, replica
-	// pushes, drain handoffs) — not just inbound requests.
-	outboundTransport := func() http.RoundTripper {
-		if inj == nil {
-			return nil
-		}
-		return inj.Transport(nil)
+	// peer makes every call to another cluster member (router calls, drain
+	// handoffs, replica pushes, recovery liveness checks) through one
+	// chaos-wrapped client, so -chaos-partition blackholes all the real
+	// traffic — not just inbound requests.
+	peer := cluster.Peer{Client: &http.Client{Timeout: 10 * time.Second}, Timeout: *callTimeout}
+	if inj != nil {
+		peer.Client.Transport = inj.Transport(nil)
 	}
 	peerList := splitURLs(*peers)
 	switch *mode {
@@ -173,7 +171,7 @@ func main() {
 			Backends:      peerList,
 			VNodes:        *vnodes,
 			ProbeInterval: *probeEvery,
-			CallTimeout:   *callTimeout,
+			Peer:          peer,
 			ProbeTimeout:  *probeTimeout,
 			Retries:       *retries,
 			RetryBackoff:  *retryBackoff,
@@ -184,7 +182,6 @@ func main() {
 			MaxInflight:   *maxInflight,
 			MaxQueue:      *maxQueue,
 			QueueWait:     *queueWait,
-			Client:        &http.Client{Timeout: 10 * time.Second, Transport: outboundTransport()},
 		}, *addr, inj, fail)
 		return
 	default:
@@ -269,12 +266,11 @@ func main() {
 	var drainer *cluster.Drainer
 	if *mode == "backend" {
 		drainer = &cluster.Drainer{
-			Server:      srv,
-			Self:        *selfURL,
-			Peers:       peerList,
-			VNodes:      *vnodes,
-			CallTimeout: *callTimeout,
-			Client:      &http.Client{Timeout: 10 * time.Second, Transport: outboundTransport()},
+			Server: srv,
+			Self:   *selfURL,
+			Peers:  peerList,
+			VNodes: *vnodes,
+			Peer:   peer,
 		}
 		handler = cluster.BackendHandler(drainer)
 		log.Printf("backend mode: draining to %d peers", len(peerList))
@@ -312,14 +308,13 @@ func main() {
 	var repl *cluster.Replicator
 	if *mode == "backend" && *replicate {
 		repl = cluster.NewReplicator(cluster.ReplicatorOptions{
-			Self:        *selfURL,
-			Peers:       peerList,
-			VNodes:      *vnodes,
-			Fanout:      *replicaK,
-			QueueSize:   *replicaQueue,
-			CallTimeout: *callTimeout,
-			Registry:    srv.Metrics(),
-			Client:      &http.Client{Timeout: 10 * time.Second, Transport: outboundTransport()},
+			Self:      *selfURL,
+			Peers:     peerList,
+			VNodes:    *vnodes,
+			Fanout:    *replicaK,
+			QueueSize: *replicaQueue,
+			Registry:  srv.Metrics(),
+			Peer:      peer,
 			// A standby that 409s a push holds a fresher epoch: fence our
 			// stale copy so the next step here redirects instead of forking.
 			OnStale: srv.FenceStale,
@@ -396,10 +391,12 @@ func main() {
 		// Replay the checkpoint store with the listener already up: /healthz
 		// answers, /readyz stays 503 until the last session is re-imported.
 		// Sessions a peer promoted while this process was down are skipped
-		// (the live copy outranks our checkpoint) and tombstoned.
+		// (the live copy outranks our checkpoint) and tombstoned. The
+		// liveness checks are probes: same client, probe deadline.
 		go func() {
 			t0 := time.Now()
-			rep, err := cluster.Recover(srv, ckStore, *selfURL, peerList, nil, *probeTimeout)
+			probe := cluster.Peer{Client: peer.Client, Timeout: *probeTimeout}
+			rep, err := cluster.Recover(srv, ckStore, *selfURL, peerList, probe)
 			if err != nil {
 				log.Printf("recovery: %v", err)
 			}
@@ -417,17 +414,15 @@ func main() {
 
 	if *replay > 0 {
 		ropt := serve.ReplayOptions{
-			Clients: *replay,
-			Steps:   *replaySteps,
-			Batch:   *replayBatch,
-			Policy:  *replayPolicy,
-			Seed:    *seed,
-			Targets: splitURLs(*replayTargets),
+			Transport: serve.HTTPTransport{BaseURL: "http://" + dialableAddr(ln.Addr()), Client: http.DefaultClient},
+			Clients:   *replay,
+			Steps:     *replaySteps,
+			Batch:     *replayBatch,
+			Policy:    *replayPolicy,
+			Seed:      *seed,
 		}
 		if *replayDirect {
-			ropt.Server = srv
-		} else {
-			ropt.BaseURL = "http://" + dialableAddr(ln.Addr())
+			ropt.Transport = serve.DirectTransport{Server: srv}
 		}
 		stats, err := serve.Replay(ropt)
 		if err != nil {
@@ -438,12 +433,6 @@ func main() {
 			stats.Clients, stats.Steps/stats.Clients, stats.EnergyJ, stats.TimeS)
 		fmt.Printf("decide latency: p50 %.3gs p90 %.3gs p99 %.3gs (n=%d)\n",
 			h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Count())
-		for _, t := range stats.PerTarget {
-			fmt.Printf("target %s: peak %d sessions\n", t.URL, t.PeakSessions)
-		}
-		if len(stats.PerTarget) > 1 {
-			fmt.Printf("distribution skew: %.3f\n", stats.Skew())
-		}
 		// Replay left no requests in flight, so close hard: a graceful
 		// drain only waits out idle keep-alive connections.
 		httpSrv.Close()

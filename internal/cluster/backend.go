@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -25,17 +23,17 @@ type Drainer struct {
 	Peers []string
 	// VNodes must match the router's ring construction (<=0 = DefaultVNodes).
 	VNodes int
-	// Client performs the handoff HTTP calls (nil = 10s-timeout client).
-	Client *http.Client
-	// RefusalLimit is how many import refusals a reachable peer may return
-	// during one drain before it is skipped for the rest of the pass
-	// (0 = 3). A peer at its session cap, or drain-gating imports itself,
-	// refuses every session — without the limit each refusal is retried
-	// per session and the drain degenerates to local re-imports.
-	RefusalLimit int
-	// CallTimeout bounds each handoff HTTP call (0 = 5s).
-	CallTimeout time.Duration
+	// Peer performs the readiness checks and handoffs; its Timeout bounds
+	// each call (0 = 5s).
+	Peer Peer
 }
+
+// refusalLimit is how many import refusals a peer may return during one
+// drain before it is skipped for the rest of the pass. A peer at its
+// session cap, or drain-gating imports itself, refuses every session —
+// without the limit each refusal is retried per session and the drain
+// degenerates to local re-imports.
+const refusalLimit = 3
 
 // DrainReport summarizes one drain pass.
 type DrainReport struct {
@@ -50,54 +48,12 @@ type DrainReport struct {
 	Targets []string `json:"targets"`
 }
 
-func (d *Drainer) client() *http.Client {
-	if d.Client != nil {
-		return d.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
-
-func (d *Drainer) callTimeout() time.Duration {
-	if d.CallTimeout > 0 {
-		return d.CallTimeout
-	}
-	return 5 * time.Second
-}
-
-func (d *Drainer) refusalLimit() int {
-	if d.RefusalLimit > 0 {
-		return d.RefusalLimit
-	}
-	return 3
-}
-
-// get performs one deadline-bounded GET.
-func (d *Drainer) get(c *http.Client, url string) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.callTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
 // readyPeers probes the peer list and returns those answering ready,
 // excluding self.
-func (d *Drainer) readyPeers() []string {
-	c := d.client()
+func (d *Drainer) readyPeers(peer Peer) []string {
 	var up []string
-	for _, p := range d.Peers {
-		if p == "" || p == d.Self {
-			continue
-		}
-		if status, err := d.get(c, p+"/readyz"); err == nil && status == http.StatusOK {
+	for _, p := range without(d.Peers, d.Self) {
+		if _, status, _, err := peer.Do(context.Background(), http.MethodGet, p+"/readyz", nil, ""); err == nil && status == http.StatusOK {
 			up = append(up, p)
 		}
 	}
@@ -113,14 +69,14 @@ func (d *Drainer) readyPeers() []string {
 // conflict that the router's relocation chase absorbs.
 func (d *Drainer) Drain() (DrainReport, error) {
 	d.Server.BeginDrain()
-	targets := d.readyPeers()
+	peer := d.Peer.orDefault(5 * time.Second)
+	targets := d.readyPeers(peer)
 	rep := DrainReport{Targets: targets}
 	if len(targets) == 0 {
 		rep.Remaining = d.Server.SessionCount()
 		return rep, fmt.Errorf("drain: no ready peers; %d sessions stay resident", rep.Remaining)
 	}
 	ring := NewRing(targets, d.VNodes)
-	c := d.client()
 	// refusals counts import rejections per reachable peer across the whole
 	// pass; a peer past the limit is skipped for every later session.
 	refusals := make(map[string]int, len(targets))
@@ -130,7 +86,7 @@ func (d *Drainer) Drain() (DrainReport, error) {
 			// Already gone (closed or migrated away concurrently).
 			continue
 		}
-		if d.place(c, ring, id, snapData, refusals) {
+		if d.place(peer, ring, id, snapData, refusals) {
 			rep.Drained++
 		} else {
 			// Nobody took it: bring it home rather than drop it. The local
@@ -150,36 +106,21 @@ func (d *Drainer) Drain() (DrainReport, error) {
 
 // place imports the snapshot at its ring owner, then at every other target,
 // skipping peers that already refused refusalLimit imports this pass.
-func (d *Drainer) place(c *http.Client, ring *Ring, id string, snapData []byte, refusals map[string]int) bool {
+func (d *Drainer) place(peer Peer, ring *Ring, id string, snapData []byte, refusals map[string]int) bool {
 	targets := append([]string{ring.Owner(id)}, ring.Nodes()...)
 	tried := map[string]bool{}
-	limit := d.refusalLimit()
 	for _, t := range targets {
-		if t == "" || tried[t] || refusals[t] >= limit {
+		if t == "" || tried[t] || refusals[t] >= refusalLimit {
 			continue
 		}
 		tried[t] = true
-		ctx, cancel := context.WithTimeout(context.Background(), d.callTimeout())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			t+"/v1/sessions/import", bytes.NewReader(snapData))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.Do(req)
-		cancel()
-		if err != nil {
-			// Unreachable counts too: a dead peer should stop eating one
-			// timeout per remaining session.
-			refusals[t]++
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusCreated {
+		_, status, _, err := peer.Do(context.Background(), http.MethodPost,
+			t+"/v1/sessions/import", snapData, "application/octet-stream")
+		if err == nil && status == http.StatusCreated {
 			return true
 		}
+		// Unreachable counts too: a dead peer should stop eating one
+		// timeout per remaining session.
 		refusals[t]++
 	}
 	return false

@@ -63,7 +63,7 @@ func newHACluster(t *testing.T, n int, ckptInterval time.Duration) ([]*haBackend
 	}
 	rt := NewRouter(RouterOptions{
 		Backends:     urls,
-		CallTimeout:  2 * time.Second,
+		Peer:         Peer{Timeout: 2 * time.Second},
 		RetryBackoff: 5 * time.Millisecond,
 	})
 	if !rt.Probe() {
@@ -233,7 +233,7 @@ func TestChaosLatencyFailover(t *testing.T) {
 
 	rt := NewRouter(RouterOptions{
 		Backends:     []string{tsA.URL, tsB.URL},
-		CallTimeout:  150 * time.Millisecond,
+		Peer:         Peer{Timeout: 150 * time.Millisecond},
 		ProbeTimeout: 100 * time.Millisecond,
 		RetryBackoff: 5 * time.Millisecond,
 	})
@@ -343,7 +343,7 @@ func TestKillRestartRecovery(t *testing.T) {
 	// check on.
 	srv2 := serve.New(serve.Options{Platform: p})
 	srv2.SetRecovering(true)
-	rep, err := Recover(srv2, store, "http://self", []string{peerTS.URL}, nil, time.Second)
+	rep, err := Recover(srv2, store, "http://self", []string{peerTS.URL}, Peer{Timeout: time.Second})
 	srv2.SetRecovering(false)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -417,7 +417,7 @@ func TestProbeDebounce(t *testing.T) {
 }
 
 // TestDrainerSkipsRefusingPeer: a peer that answers ready but refuses
-// imports is abandoned after RefusalLimit refusals instead of being
+// imports is abandoned after refusalLimit refusals instead of being
 // offered every remaining session.
 func TestDrainerSkipsRefusingPeer(t *testing.T) {
 	p := soc.NewXU3()
@@ -445,10 +445,9 @@ func TestDrainerSkipsRefusingPeer(t *testing.T) {
 	defer sinkTS.Close()
 
 	dr := &Drainer{
-		Server:       src,
-		Self:         "http://self",
-		Peers:        []string{refuser.URL, sinkTS.URL},
-		RefusalLimit: 2,
+		Server: src,
+		Self:   "http://self",
+		Peers:  []string{refuser.URL, sinkTS.URL},
 	}
 	rep, err := dr.Drain()
 	if err != nil {
@@ -460,8 +459,8 @@ func TestDrainerSkipsRefusingPeer(t *testing.T) {
 	if sink.SessionCount() != 10 {
 		t.Fatalf("sink holds %d sessions, want 10", sink.SessionCount())
 	}
-	if hits := refuserHits.Load(); hits > 2 {
-		t.Fatalf("refusing peer was offered %d imports, want <= RefusalLimit (2)", hits)
+	if hits := refuserHits.Load(); hits > refusalLimit {
+		t.Fatalf("refusing peer was offered %d imports, want <= refusalLimit (%d)", hits, refusalLimit)
 	}
 }
 
@@ -523,7 +522,7 @@ func TestChaosTornCheckpointWrites(t *testing.T) {
 	}
 	defer store2.Close()
 	srv2 := serve.New(serve.Options{Platform: p})
-	restored, _, err := srv2.RecoverFromStore(store2)
+	restored, _, err := srv2.RecoverFromStore(store2, nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

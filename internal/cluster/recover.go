@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 
@@ -29,70 +28,39 @@ type RecoverReport struct {
 // backend over means the standbys promoted replicas, and the promoted copy
 // — which kept stepping — outranks our checkpoint. Such sessions are
 // skipped and tombstoned in the store (the live owner checkpoints them
-// now). With no peers (standalone), every stored session restores.
+// now). With no peers (standalone), every stored session restores. Each
+// liveness check goes through peer, whose Timeout bounds it (0 = 2s).
 //
 // Callers hold srv in recovering mode (SetRecovering) around this call so
 // /readyz stays false until the replay completes.
-func Recover(srv *serve.Server, store *ckpt.Store, self string, peers []string, client *http.Client, timeout time.Duration) (RecoverReport, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	others := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if p != "" && p != self {
-			others = append(others, p)
-		}
-	}
+func Recover(srv *serve.Server, store *ckpt.Store, self string, peers []string, peer Peer) (RecoverReport, error) {
+	peer = peer.orDefault(2 * time.Second)
+	others := without(peers, self)
 	var rep RecoverReport
-	var firstErr error
-	damaged, err := store.Replay(func(id string, snapshot []byte) {
-		if _, err := srv.Info(id); err == nil {
-			return // already live here (imported onto us before recovery ran)
+	var deleteErr error
+	restored, damaged, err := srv.RecoverFromStore(store, func(id string) bool {
+		if !liveOnPeer(peer, others, id) {
+			return false
 		}
-		if liveOnPeer(client, others, id, timeout) {
-			rep.Skipped++
-			// The live owner checkpoints this session now; drop our stale
-			// record so a second restart doesn't re-ask.
-			if derr := store.Delete(id); derr != nil && firstErr == nil {
-				firstErr = derr
-			}
-			return
+		rep.Skipped++
+		// The live owner checkpoints this session now; drop our stale
+		// record so a second restart doesn't re-ask.
+		if derr := store.Delete(id); derr != nil && deleteErr == nil {
+			deleteErr = derr
 		}
-		if _, ierr := srv.ImportSession(snapshot); ierr != nil {
-			if firstErr == nil {
-				firstErr = ierr
-			}
-			return
-		}
-		rep.Restored++
+		return true
 	})
-	rep.Damaged = damaged
+	rep.Restored, rep.Damaged = restored, damaged
 	if err != nil {
 		return rep, err
 	}
-	return rep, firstErr
+	return rep, deleteErr
 }
 
 // liveOnPeer reports whether any peer currently hosts the session.
-func liveOnPeer(client *http.Client, peers []string, id string, timeout time.Duration) bool {
+func liveOnPeer(peer Peer, peers []string, id string) bool {
 	for _, p := range peers {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p+"/v1/sessions/"+id, nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := client.Do(req)
-		cancel()
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		if _, status, _, err := peer.Do(context.Background(), http.MethodGet, p+"/v1/sessions/"+id, nil, ""); err == nil && status == http.StatusOK {
 			return true
 		}
 	}

@@ -110,7 +110,7 @@ func TestActiveActiveOverloadSoak(t *testing.T) {
 	backends := newHABackends(t, 3, 2, 25*time.Millisecond)
 	routers, fronts := newRouterTier(t, backends, func(i int) RouterOptions {
 		return RouterOptions{
-			CallTimeout:  2 * time.Second,
+			Peer:         Peer{Timeout: 2 * time.Second},
 			RetryBackoff: 5 * time.Millisecond,
 			MaxInflight:  4,
 			MaxQueue:     2,
@@ -258,12 +258,12 @@ func TestAsymmetricPartitionFencing(t *testing.T) {
 	inj := chaos.New(chaos.Options{Seed: 7})
 	routers, fronts := newRouterTier(t, backends, func(i int) RouterOptions {
 		opt := RouterOptions{
-			CallTimeout:  time.Second,
+			Peer:         Peer{Timeout: time.Second},
 			ProbeTimeout: 200 * time.Millisecond,
 			RetryBackoff: 5 * time.Millisecond,
 		}
 		if i == 0 {
-			opt.Client = &http.Client{Timeout: 2 * time.Second, Transport: inj.Transport(nil)}
+			opt.Peer.Client = &http.Client{Timeout: 2 * time.Second, Transport: inj.Transport(nil)}
 		}
 		return opt
 	}, 2)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,13 +50,12 @@ type RouterOptions struct {
 	QueueWait time.Duration
 	// ProbeInterval between membership probes (0 = 500ms).
 	ProbeInterval time.Duration
-	// Client performs all backend HTTP calls (nil = a dedicated client with
-	// a 10s timeout).
-	Client *http.Client
-	// CallTimeout bounds every forwarded backend call (0 = 5s). One hung
-	// backend must cost one deadline, never a wedged front tier.
-	CallTimeout time.Duration
-	// ProbeTimeout bounds each readiness probe (0 = 2s).
+	// Peer performs every backend call; its Timeout bounds each forwarded
+	// call (0 = 5s). One hung backend must cost one deadline, never a wedged
+	// front tier.
+	Peer Peer
+	// ProbeTimeout bounds each readiness probe (0 = 2s); probes use
+	// Peer.Client.
 	ProbeTimeout time.Duration
 	// Retries is how many times a failed call is retried with jittered
 	// exponential backoff (0 = 2; negative = no retries). Non-idempotent
@@ -100,9 +98,8 @@ type Router struct {
 	weights      map[string]float64
 	loadBound    float64
 	interval     time.Duration
-	client       *http.Client
-	callTimeout  time.Duration
-	probeTimeout time.Duration
+	peer         Peer // forwarded calls
+	probe        Peer // readiness probes: same client, ProbeTimeout
 	retries      int
 	retryBackoff time.Duration
 	failAfter    int
@@ -168,15 +165,6 @@ func NewRouter(opt RouterOptions) *Router {
 	if opt.ProbeInterval <= 0 {
 		opt.ProbeInterval = 500 * time.Millisecond
 	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opt.CallTimeout <= 0 {
-		opt.CallTimeout = 5 * time.Second
-	}
-	if opt.ProbeTimeout <= 0 {
-		opt.ProbeTimeout = 2 * time.Second
-	}
 	if opt.Retries == 0 {
 		opt.Retries = 2
 	} else if opt.Retries < 0 {
@@ -196,9 +184,8 @@ func NewRouter(opt RouterOptions) *Router {
 		weights:      opt.Weights,
 		loadBound:    opt.LoadBound,
 		interval:     opt.ProbeInterval,
-		client:       opt.Client,
-		callTimeout:  opt.CallTimeout,
-		probeTimeout: opt.ProbeTimeout,
+		peer:         opt.Peer.orDefault(5 * time.Second),
+		probe:        Peer{Client: opt.Peer.Client, Timeout: opt.ProbeTimeout}.orDefault(2 * time.Second),
 		retries:      opt.Retries,
 		retryBackoff: opt.RetryBackoff,
 		failAfter:    opt.FailAfter,
@@ -342,19 +329,11 @@ func (rt *Router) Probe() bool {
 // whether it answered ready; responded is whether any HTTP response came
 // back at all (false = silent failure: refused, reset, timed out).
 func (rt *Router) probeOne(backend string) (up, responded bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+"/readyz", nil)
+	_, status, _, err := rt.probe.Do(context.Background(), http.MethodGet, backend+"/readyz", nil, "")
 	if err != nil {
 		return false, false
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false, false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK, true
+	return status == http.StatusOK, true
 }
 
 // sessionsOf lists a backend's live sessions.
@@ -462,7 +441,7 @@ func (rt *Router) migrate(id, from, to string, ring *Ring) {
 			// the source was unreachable, or a racing router's migration that
 			// won. The fresher copy stands; our detached bytes are a stale
 			// generation, correctly discarded.
-			if !rt.resolveConflict(t, id, snapData) {
+			if !rt.resolveConflict(t, id) {
 				continue
 			}
 			status = http.StatusCreated
@@ -489,36 +468,14 @@ func (rt *Router) migrate(id, from, to string, ring *Ring) {
 // detached snapshot. Epochs are the authority — the backend accepts any
 // import that outranks its resident copy, so a 409 means the resident (or
 // the fence left by a fresher generation) outranks the snapshot. Returns
-// true when a live copy of the session exists on the backend (the migration
-// converges there); false sends the caller on to other targets.
-func (rt *Router) resolveConflict(backend, id string, snapData []byte) bool {
-	_, snapEpoch, snapSteps, err := serve.SnapshotMeta(snapData)
-	if err != nil {
-		// Unreadable snapshot can't outrank anything; if the backend hosts
-		// the session live, that copy is the session.
-		snapEpoch, snapSteps = 0, 0
-	}
-	data, status, err := rt.do(context.Background(), http.MethodGet, backend, "/v1/sessions/"+id, nil, "")
-	if err != nil || status != http.StatusOK {
-		// Fenced but not resident here (the fresher copy lives elsewhere, or
-		// died fenced). Let the caller try other targets; a locate or the
-		// next probe settles final placement.
-		return false
-	}
-	var info struct {
-		Epoch uint64 `json:"epoch"`
-		Steps uint64 `json:"steps"`
-	}
-	if json.Unmarshal(data, &info) != nil {
-		return true
-	}
-	if info.Epoch > snapEpoch || (info.Epoch == snapEpoch && info.Steps >= snapSteps) {
-		return true
-	}
-	// Strictly newer snapshot refused: only possible when the resident's
-	// fence (not its live epoch) outranks us — a fresher generation existed
-	// here before. The resident still serves; keep it.
-	return true
+// true when a live copy of the session exists on the backend: the migration
+// converges there, and the resident serves whatever its epoch. False means
+// fenced but not resident (the fresher copy lives elsewhere, or died
+// fenced); the caller tries other targets, and a locate or the next probe
+// settles final placement.
+func (rt *Router) resolveConflict(backend, id string) bool {
+	_, status, err := rt.do(context.Background(), http.MethodGet, backend, "/v1/sessions/"+id, nil, "")
+	return err == nil && status == http.StatusOK
 }
 
 // updateBackendGauges refreshes the per-backend session-count gauges and
@@ -557,7 +514,7 @@ func (rt *Router) backendGauge(backend string) *metrics.Gauge {
 
 // do performs one backend call under the router's retry/timeout/backoff
 // discipline and returns the response body and status. Every attempt runs
-// under its own callTimeout deadline, nested inside ctx so a client that
+// under its own Peer.Timeout deadline, nested inside ctx so a client that
 // gave up (or a router-tier deadline) cancels the backend call too. Retry
 // policy:
 //
@@ -625,26 +582,7 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 
 // doOnce is a single deadline-bounded backend call.
 func (rt *Router) doOnce(ctx context.Context, method, backend, path string, body []byte, contentType string) ([]byte, int, http.Header, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	ctx, cancel := context.WithTimeout(ctx, rt.callTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, backend+path, rd)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.mProxyErrors.Inc()
-		return nil, 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, status, hdr, err := rt.peer.Do(ctx, method, backend+path, body, contentType)
 	if err != nil {
 		rt.mProxyErrors.Inc()
 		return nil, 0, nil, err
@@ -652,14 +590,14 @@ func (rt *Router) doOnce(ctx context.Context, method, backend, path string, body
 	// A backend that just promoted a warm-standby replica says so in a
 	// response header; counting here gives the cluster-wide promotion view
 	// without an extra round trip.
-	if resp.Header.Get(serve.HeaderPromoted) == "1" {
+	if hdr.Get(serve.HeaderPromoted) == "1" {
 		rt.mPromotions.Inc()
-		if resp.Header.Get(serve.HeaderPromotedStale) == "1" {
+		if hdr.Get(serve.HeaderPromotedStale) == "1" {
 			rt.mPromotionsStale.Inc()
 		}
 	}
 	rt.mProxied.Inc()
-	return data, resp.StatusCode, resp.Header, nil
+	return data, status, hdr, nil
 }
 
 // route resolves a session id to its backend: the relocation cache wins

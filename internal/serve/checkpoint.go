@@ -285,13 +285,14 @@ func SnapshotMeta(data []byte) (id string, epoch, steps uint64, err error) {
 
 // RecoverFromStore replays a checkpoint store and re-imports every live
 // session it holds. Sessions that already exist (a replica promoted and
-// migrated back before recovery finished) are skipped, not errors. Returns
-// how many sessions were restored, the store's per-segment damage notes,
-// and the first import error.
-func (s *Server) RecoverFromStore(store *ckpt.Store) (restored int, damaged []string, err error) {
+// migrated back before recovery finished) are skipped, not errors, and so
+// are those for which skip (when non-nil) returns true. Returns how many
+// sessions were restored, the store's per-segment damage notes, and the
+// first import error.
+func (s *Server) RecoverFromStore(store *ckpt.Store, skip func(id string) bool) (restored int, damaged []string, err error) {
 	var firstErr error
 	damaged, rerr := store.Replay(func(id string, snapshot []byte) {
-		if s.sessions.get(id) != nil {
+		if s.sessions.get(id) != nil || (skip != nil && skip(id)) {
 			return
 		}
 		if _, ierr := s.ImportSession(snapshot); ierr != nil {

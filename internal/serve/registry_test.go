@@ -332,16 +332,16 @@ func TestReplayDirectMatchesHTTP(t *testing.T) {
 	}
 	srvHTTP, ts := mk()
 	viaHTTP, err := Replay(ReplayOptions{
-		BaseURL: ts.URL, HTTPClient: ts.Client(),
-		Clients: 4, Steps: 40, Batch: 5, Policy: PolicyOfflineIL, Seed: 17,
+		Transport: HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+		Clients:   4, Steps: 40, Batch: 5, Policy: PolicyOfflineIL, Seed: 17,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srvDirect, _ := mk()
 	viaDirect, err := Replay(ReplayOptions{
-		Server:  srvDirect,
-		Clients: 4, Steps: 40, Batch: 5, Policy: PolicyOfflineIL, Seed: 17,
+		Transport: DirectTransport{Server: srvDirect},
+		Clients:   4, Steps: 40, Batch: 5, Policy: PolicyOfflineIL, Seed: 17,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -300,12 +300,11 @@ func TestReplaySoak(t *testing.T) {
 	}
 	srv, ts, _ := newTestServer(t, func(o *Options) { o.MaxSessions = clients })
 	stats, err := Replay(ReplayOptions{
-		BaseURL:    ts.URL,
-		Clients:    clients,
-		Steps:      steps,
-		Policy:     PolicyOfflineIL,
-		Seed:       11,
-		HTTPClient: ts.Client(),
+		Transport: HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+		Clients:   clients,
+		Steps:     steps,
+		Policy:    PolicyOfflineIL,
+		Seed:      11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,13 +352,12 @@ func TestReplaySoak(t *testing.T) {
 func TestReplayBatching(t *testing.T) {
 	srv, ts, _ := newTestServer(t, nil)
 	stats, err := Replay(ReplayOptions{
-		BaseURL:    ts.URL,
-		Clients:    4,
-		Steps:      50,
-		Batch:      10,
-		Policy:     "ondemand",
-		Seed:       3,
-		HTTPClient: ts.Client(),
+		Transport: HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+		Clients:   4,
+		Steps:     50,
+		Batch:     10,
+		Policy:    "ondemand",
+		Seed:      3,
 	})
 	if err != nil {
 		t.Fatal(err)

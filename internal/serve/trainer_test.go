@@ -28,11 +28,11 @@ func TestAsyncTrainingSoak(t *testing.T) {
 		clients, steps = 4, 80
 	}
 	stats, err := Replay(ReplayOptions{
-		Server:  srv,
-		Clients: clients,
-		Steps:   steps,
-		Policy:  PolicyOnlineIL,
-		Seed:    21,
+		Transport: DirectTransport{Server: srv},
+		Clients:   clients,
+		Steps:     steps,
+		Policy:    PolicyOnlineIL,
+		Seed:      21,
 	})
 	if err != nil {
 		t.Fatal(err)
