@@ -172,7 +172,33 @@ func TestActiveActiveOverloadSoak(t *testing.T) {
 			t.Fatalf("flush: %v", err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond) // let replica queues drain
+	// Kill only once every session live on the victim has a replica parked
+	// on a survivor at the victim's epoch or newer: a push still queued at
+	// the kill would lose its session.
+	replicated := func() bool {
+		for _, id := range victim.srv.SessionIDs() {
+			info, err := victim.srv.Info(id)
+			if err != nil {
+				continue // moved off the victim meanwhile
+			}
+			parked := false
+			for _, b := range backends[1:] {
+				if e, ok := b.srv.ReplicaEpoch(id); ok && e >= info.Epoch {
+					parked = true
+					break
+				}
+			}
+			if !parked {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !replicated(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the victim's sessions never all reached a survivor's replica set")
+		}
+	}
 	victim.ck.Stop()
 	victim.repl.Stop()
 	victim.ts.Close()

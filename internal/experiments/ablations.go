@@ -38,7 +38,7 @@ func (s *Study) BufferSizeAblation(caps []int) []BufferPoint {
 	return MapJobs(s.workers(), caps, func(_ int, cap int) BufferPoint {
 		oil := s.FreshOnlineIL()
 		oil.BufferCap = cap
-		run, pts := s.accuracyRun(seq, oil, oil, 10)
+		run, pts := s.accuracyRun(seq, oil, 10)
 		p := BufferPoint{
 			BufferCap:    cap,
 			Bytes:        oil.BufferBytes(),
@@ -79,7 +79,7 @@ func (s *Study) NeighborhoodAblation(radii []int) []NeighborhoodPoint {
 	return MapJobs(s.workers(), radii, func(_ int, r int) NeighborhoodPoint {
 		oil := s.FreshOnlineIL()
 		oil.Radius = r
-		run, pts := s.accuracyRun(seq, oil, oil, 10)
+		run, pts := s.accuracyRun(seq, oil, 10)
 		side := 2*r + 1
 		p := NeighborhoodPoint{
 			Radius:       r,

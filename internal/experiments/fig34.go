@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"socrm/internal/control"
 	"socrm/internal/soc"
 	"socrm/internal/workload"
@@ -34,15 +36,17 @@ type Fig4Row struct {
 	RL    float64
 }
 
-// policyTracker exposes the raw policy decision of an adaptive controller
-// (not the executed configuration) for Oracle-agreement tracking.
-type policyTracker interface {
+// adaptiveDecider is an adaptive controller that also exposes its raw
+// policy decision (not the executed configuration) for Oracle-agreement
+// tracking.
+type adaptiveDecider interface {
+	control.Decider
 	PolicyConfig(st control.State) soc.Config
 }
 
-// accuracyRun executes the sequence under the decider while recording the
-// smoothed policy-vs-Oracle agreement per decision.
-func (s *Study) accuracyRun(seq *workload.Sequence, dec control.Decider, tracker policyTracker, window int) (control.RunResult, []AccuracyPoint) {
+// accuracyRun executes the sequence under the controller while recording
+// the smoothed policy-vs-Oracle agreement per decision.
+func (s *Study) accuracyRun(seq *workload.Sequence, dec adaptiveDecider, window int) (control.RunResult, []AccuracyPoint) {
 	// Per-snippet Oracle configurations for the whole sequence.
 	oracleCfg := make([]soc.Config, 0, seq.Len())
 	for _, app := range seq.Apps {
@@ -54,7 +58,7 @@ func (s *Study) accuracyRun(seq *workload.Sequence, dec control.Decider, tracker
 	var hits []float64
 	run := control.RunWithHook(s.P, seq, dec, s.defaultStart(), func(st control.State, _ soc.Config) {
 		target := oracleCfg[st.Snippet+1]
-		pol := tracker.PolicyConfig(st)
+		pol := dec.PolicyConfig(st)
 		hits = append(hits, knobAgreement(pol, target))
 		lo := len(hits) - window
 		if lo < 0 {
@@ -76,37 +80,72 @@ func (s *Study) accuracyRun(seq *workload.Sequence, dec control.Decider, tracker
 	return run, pts
 }
 
+// fig3Window is the number of decisions the Figure 3 accuracy is smoothed
+// over.
+const fig3Window = 10
+
+// deployment is one closed-loop run of a freshly built adaptive controller:
+// online IL or the Q-table, on the offline (Mi-Bench) or the online
+// (Cortex+PARSEC) sequence. Runs on the online sequence also carry the
+// Figure 3 accuracy trace.
+type deployment struct {
+	il, online bool
+	run        control.RunResult
+	pts        []AccuracyPoint
+}
+
+// deploymentTable holds the four deployments Figures 3 and 4 read.
+type deploymentTable struct {
+	offlineIL, offlineRL, onlineIL, onlineRL deployment
+}
+
+// onlineApps is the unseen Cortex+PARSEC sequence of Figures 3 and 4.
+func (s *Study) onlineApps() []workload.Application {
+	return append(append([]workload.Application{}, s.Cortex...), s.Parsec...)
+}
+
+// deploymentTable runs the four deployments once per study, on the worker
+// pool, and returns them to every later caller. Each job builds its own
+// controller from the study's deterministic seeds. The accuracy hook of
+// the online runs only reads the learners, so those runs are the plain
+// closed-loop runs Figure 4 needs as well.
+func (s *Study) deploymentTable() *deploymentTable {
+	s.deployOnce.Do(func() {
+		offline := workload.NewSequence(s.MiBench...)
+		online := workload.NewSequence(s.onlineApps()...)
+		// Online IL on the training suite is the longest job; it goes
+		// first so the pool does not finish on it.
+		cells := []deployment{{il: true}, {il: true, online: true}, {}, {online: true}}
+		runs := MapJobs(s.workers(), cells, func(_ int, d deployment) deployment {
+			var dec adaptiveDecider
+			if d.il {
+				dec = s.FreshOnlineIL()
+			} else {
+				dec = s.FreshQTable(6)
+			}
+			if d.online {
+				d.run, d.pts = s.accuracyRun(online, dec, fig3Window)
+			} else {
+				d.run = control.Run(s.P, offline, dec, s.defaultStart())
+			}
+			return d
+		})
+		s.deploy = &deploymentTable{offlineIL: runs[0], onlineIL: runs[1], offlineRL: runs[2], onlineRL: runs[3]}
+	})
+	return s.deploy
+}
+
 // Fig3 reproduces the convergence comparison: both policies were trained
 // offline on Mi-Bench; the sequence is the four Cortex-like apps followed
 // by the two PARSEC-like apps. The paper reports online-IL converging to
 // ~100% Oracle agreement within ~6 s (4% of the sequence) while RL never
 // converges.
 func (s *Study) Fig3() Fig3Result {
-	const window = 10
-	seq := workload.NewSequence(append(append([]workload.Application{}, s.Cortex...), s.Parsec...)...)
+	// Copies, so a caller that edits its result cannot change the table.
+	t := s.deploymentTable()
+	ilPts, rlPts := slices.Clone(t.onlineIL.pts), slices.Clone(t.onlineRL.pts)
 
-	// The IL and RL deployments are independent closed-loop runs over the
-	// same (immutable) sequence; each job builds its own controller from
-	// the study's deterministic seeds.
-	type trace struct {
-		run control.RunResult
-		pts []AccuracyPoint
-	}
-	runs := MapJobs(s.workers(), []string{"il", "rl"}, func(_ int, kind string) trace {
-		var tr trace
-		if kind == "il" {
-			oil := s.FreshOnlineIL()
-			tr.run, tr.pts = s.accuracyRun(seq, oil, oil, window)
-		} else {
-			qt := s.FreshQTable(6)
-			tr.run, tr.pts = s.accuracyRun(seq, qt, qt, window)
-		}
-		return tr
-	})
-	ilRun, ilPts := runs[0].run, runs[0].pts
-	rlPts := runs[1].pts
-
-	res := Fig3Result{IL: ilPts, RL: rlPts, TotalTime: ilRun.Time}
+	res := Fig3Result{IL: ilPts, RL: rlPts, TotalTime: t.onlineIL.run.Time}
 	res.ILConvergeTime = -1
 	for _, p := range ilPts {
 		if p.Accuracy >= 95 {
@@ -135,14 +174,12 @@ func (s *Study) Fig3() Fig3Result {
 // application during the sequence runs and normalized by the per-app
 // Oracle energy.
 func (s *Study) Fig4() []Fig4Row {
-	offline := workload.NewSequence(s.MiBench...)
-	online := workload.NewSequence(append(append([]workload.Application{}, s.Cortex...), s.Parsec...)...)
-
+	t := s.deploymentTable()
 	rows := make([]Fig4Row, 0, 16)
-	collect := func(seq *workload.Sequence, group string, ilRun, rlRun control.RunResult) {
-		ilPer := ilRun.PerAppEnergy(len(seq.Apps))
-		rlPer := rlRun.PerAppEnergy(len(seq.Apps))
-		for i, app := range seq.Apps {
+	collect := func(apps []workload.Application, group string, il, rl deployment) {
+		ilPer := il.run.PerAppEnergy(len(apps))
+		rlPer := rl.run.PerAppEnergy(len(apps))
+		for i, app := range apps {
 			orc := s.OracleEnergy(app.Name)
 			rows = append(rows, Fig4Row{
 				App:   app.Name,
@@ -152,25 +189,7 @@ func (s *Study) Fig4() []Fig4Row {
 			})
 		}
 	}
-
-	// Four independent deployments (two policies x two sequences), each
-	// with a freshly-seeded controller — one pool job apiece.
-	type deployment struct {
-		seq *workload.Sequence
-		il  bool
-	}
-	cells := []deployment{
-		{offline, true}, {offline, false},
-		{online, true}, {online, false},
-	}
-	runs := MapJobs(s.workers(), cells, func(_ int, d deployment) control.RunResult {
-		if d.il {
-			return control.Run(s.P, d.seq, s.FreshOnlineIL(), s.defaultStart())
-		}
-		return control.Run(s.P, d.seq, s.FreshQTable(6), s.defaultStart())
-	})
-	collect(offline, "offline", runs[0], runs[1])
-	collect(online, "online", runs[2], runs[3])
-
+	collect(s.MiBench, "offline", t.offlineIL, t.offlineRL)
+	collect(s.onlineApps(), "online", t.onlineIL, t.onlineRL)
 	return rows
 }

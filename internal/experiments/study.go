@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"socrm/internal/control"
 	"socrm/internal/il"
@@ -58,6 +59,9 @@ type Study struct {
 	dataset    il.Dataset
 	policy     *il.MLPPolicy
 	treePolicy *il.TreePolicy
+
+	deployOnce sync.Once
+	deploy     *deploymentTable // Figures 3 and 4; see deploymentTable
 }
 
 // NewStudy builds the study: generates the suites, computes Oracle labels

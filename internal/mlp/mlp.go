@@ -3,6 +3,14 @@
 // network and it is updated using the back-propagation algorithm") and for
 // the deep-Q baseline. Training is plain SGD with momentum; everything is
 // deterministic given the seed.
+//
+// The forward and backward loops are blocked (four output units per pass
+// in forward, two rows per pass when back-propagating deltas) but keep
+// every floating-point operation of the one-unit-at-a-time loops, in the
+// same order: each blocked unit has its own accumulator and sums left to
+// right, there is no reassociation and no fused multiply-add. Outputs are
+// therefore bit-identical to the straightforward kernel, which
+// TestKernelBitIdentical keeps as its reference.
 package mlp
 
 import (
@@ -81,30 +89,6 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-func (n *Network) activate(v float64) float64 {
-	switch n.Act {
-	case ReLU:
-		if v < 0 {
-			return 0
-		}
-		return v
-	default:
-		return math.Tanh(v)
-	}
-}
-
-func (n *Network) activateGrad(a float64) float64 {
-	switch n.Act {
-	case ReLU:
-		if a > 0 {
-			return 1
-		}
-		return 0
-	default:
-		return 1 - a*a // tanh'(x) in terms of tanh(x)
-	}
-}
-
 // ensureScratch lazily sizes the shared forward/backward buffers.
 func (n *Network) ensureScratch() {
 	if n.acts != nil {
@@ -120,7 +104,7 @@ func (n *Network) ensureScratch() {
 	n.predOut = make([]float64, n.Sizes[L-1])
 }
 
-// Forward runs the network and returns the per-layer activations (needed
+// forward runs the network and returns the per-layer activations (needed
 // for backprop). The returned slices are the network's scratch buffers;
 // acts[0] aliases x until the next pass.
 func (n *Network) forward(x []float64) [][]float64 {
@@ -130,20 +114,51 @@ func (n *Network) forward(x []float64) [][]float64 {
 	n.ensureScratch()
 	acts := n.acts
 	acts[0] = x
-	for l := 0; l < len(n.W); l++ {
-		in, out := n.Sizes[l], n.Sizes[l+1]
-		a := acts[l+1]
-		prev := acts[l]
-		for j := 0; j < out; j++ {
-			s := n.B[l][j]
-			wrow := n.W[l][j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				s += wrow[i] * prev[i]
+	last := len(n.W) - 1
+	for l, w := range n.W {
+		prev, a, b := acts[l], acts[l+1], n.B[l]
+		in := len(prev)
+		b = b[:len(a)]
+		// Four output units per pass over the inputs: each unit keeps its
+		// own accumulator and its left-to-right summation order, so the
+		// sums are bit-identical to one unit at a time, but the four
+		// dependency chains overlap.
+		j := 0
+		for ; j+4 <= len(a); j += 4 {
+			w0 := w[j*in:][:in]
+			w1 := w[(j+1)*in:][:in]
+			w2 := w[(j+2)*in:][:in]
+			w3 := w[(j+3)*in:][:in]
+			s0, s1, s2, s3 := b[j], b[j+1], b[j+2], b[j+3]
+			for i, p := range prev {
+				s0 += w0[i] * p
+				s1 += w1[i] * p
+				s2 += w2[i] * p
+				s3 += w3[i] * p
 			}
-			if l < len(n.W)-1 {
-				s = n.activate(s)
+			a[j], a[j+1], a[j+2], a[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(a); j++ {
+			wj := w[j*in:][:in]
+			s := b[j]
+			for i, p := range prev {
+				s += wj[i] * p
 			}
 			a[j] = s
+		}
+		if l == last {
+			break
+		}
+		if n.Act == ReLU {
+			for j, v := range a {
+				if v < 0 {
+					a[j] = 0
+				}
+			}
+		} else {
+			for j, v := range a {
+				a[j] = math.Tanh(v)
+			}
 		}
 	}
 	return acts
@@ -179,35 +194,52 @@ func (n *Network) TrainStep(x, target []float64, lr, momentum float64) float64 {
 	loss /= float64(len(out))
 
 	for l := L - 1; l >= 0; l-- {
-		in, outW := n.Sizes[l], n.Sizes[l+1]
-		prev := acts[l]
-		delta := n.deltas[l+1]
-		var nextDelta []float64
+		prev, delta := acts[l], n.deltas[l+1]
+		w, mw, b, mb := n.W[l], n.mW[l], n.B[l], n.mB[l]
+		in := len(prev)
 		if l > 0 {
-			nextDelta = n.deltas[l]
-			for i := range nextDelta {
-				nextDelta[i] = 0
-			}
-		}
-		for j := 0; j < outW; j++ {
-			d := delta[j]
-			wrow := n.W[l][j*in : (j+1)*in]
-			mrow := n.mW[l][j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				if nextDelta != nil {
-					nextDelta[i] += wrow[i] * d
+			// Back-propagate through the weights before they are updated.
+			// Two rows per pass: each nextDelta[i] still adds its terms in
+			// row order, so the sums are bit-identical to one row at a time.
+			nextDelta := n.deltas[l][:in]
+			clear(nextDelta)
+			j := 0
+			for ; j+2 <= len(delta); j += 2 {
+				d0, d1 := delta[j], delta[j+1]
+				w0, w1 := w[j*in:][:in], w[(j+1)*in:][:in]
+				for i, nd := range nextDelta {
+					nd += w0[i] * d0
+					nextDelta[i] = nd + w1[i]*d1
 				}
-				g := d * prev[i]
-				mrow[i] = momentum*mrow[i] - lr*g
-				wrow[i] += mrow[i]
 			}
-			n.mB[l][j] = momentum*n.mB[l][j] - lr*d
-			n.B[l][j] += n.mB[l][j]
+			for ; j < len(delta); j++ {
+				d, wj := delta[j], w[j*in:][:in]
+				for i := range nextDelta {
+					nextDelta[i] += wj[i] * d
+				}
+			}
+			if n.Act == ReLU {
+				for i, a := range prev {
+					if !(a > 0) {
+						nextDelta[i] *= 0 // not = 0: keeps the sign of zero and NaN
+					}
+				}
+			} else {
+				for i, a := range prev {
+					nextDelta[i] *= 1 - a*a // tanh'(x) in terms of tanh(x)
+				}
+			}
 		}
-		if l > 0 {
-			for i := 0; i < in; i++ {
-				nextDelta[i] *= n.activateGrad(acts[l][i])
+		b, mb = b[:len(delta)], mb[:len(delta)]
+		for j, d := range delta {
+			wrow, mrow := w[j*in:][:in], mw[j*in:][:in]
+			for i, p := range prev {
+				m := momentum*mrow[i] - lr*(d*p)
+				mrow[i] = m
+				wrow[i] += m
 			}
+			mb[j] = momentum*mb[j] - lr*d
+			b[j] += mb[j]
 		}
 	}
 	n.acts[0] = nil

@@ -167,3 +167,141 @@ func TestTrainStepReducesLoss(t *testing.T) {
 		t.Fatalf("loss did not decrease: %v -> %v", first, last)
 	}
 }
+
+func refActivate(act Activation, v float64) float64 {
+	if act == ReLU {
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	return math.Tanh(v)
+}
+
+func refActivateGrad(act Activation, a float64) float64 {
+	if act == ReLU {
+		if a > 0 {
+			return 1
+		}
+		return 0
+	}
+	return 1 - a*a
+}
+
+// refForward and refTrainStep are the straightforward kernel: one output
+// unit at a time, one branch per weight. The blocked kernel in mlp.go must
+// reproduce them bit for bit, because every golden figure digest rests on
+// the exact floating-point sequence of these loops.
+func refForward(n *Network, x []float64) [][]float64 {
+	acts := [][]float64{x}
+	for l := 0; l < len(n.W); l++ {
+		in, out := n.Sizes[l], n.Sizes[l+1]
+		a := make([]float64, out)
+		prev := acts[l]
+		for j := 0; j < out; j++ {
+			s := n.B[l][j]
+			wrow := n.W[l][j*in : (j+1)*in]
+			for i := 0; i < in; i++ {
+				s += wrow[i] * prev[i]
+			}
+			if l < len(n.W)-1 {
+				s = refActivate(n.Act, s)
+			}
+			a[j] = s
+		}
+		acts = append(acts, a)
+	}
+	return acts
+}
+
+func refTrainStep(n *Network, x, target []float64, lr, momentum float64) float64 {
+	acts := refForward(n, x)
+	L := len(n.W)
+	out := acts[L]
+	deltas := make([][]float64, L+1)
+	deltas[L] = make([]float64, len(out))
+	loss := 0.0
+	for j := range out {
+		e := out[j] - target[j]
+		deltas[L][j] = e
+		loss += e * e
+	}
+	loss /= float64(len(out))
+	for l := L - 1; l >= 0; l-- {
+		in, outW := n.Sizes[l], n.Sizes[l+1]
+		prev := acts[l]
+		delta := deltas[l+1]
+		var nextDelta []float64
+		if l > 0 {
+			nextDelta = make([]float64, in)
+			deltas[l] = nextDelta
+		}
+		for j := 0; j < outW; j++ {
+			d := delta[j]
+			wrow := n.W[l][j*in : (j+1)*in]
+			mrow := n.mW[l][j*in : (j+1)*in]
+			for i := 0; i < in; i++ {
+				if nextDelta != nil {
+					nextDelta[i] += wrow[i] * d
+				}
+				g := d * prev[i]
+				mrow[i] = momentum*mrow[i] - lr*g
+				wrow[i] += mrow[i]
+			}
+			n.mB[l][j] = momentum*n.mB[l][j] - lr*d
+			n.B[l][j] += n.mB[l][j]
+		}
+		if l > 0 {
+			for i := 0; i < in; i++ {
+				nextDelta[i] *= refActivateGrad(n.Act, acts[l][i])
+			}
+		}
+	}
+	return loss
+}
+
+// TestKernelBitIdentical runs the blocked kernel and the reference loops
+// side by side on seeded data, over widths that are not multiples of the
+// forward pass's block of four, and requires every loss, parameter,
+// momentum value and prediction to match bit for bit.
+func TestKernelBitIdentical(t *testing.T) {
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, reference %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, act := range []Activation{Tanh, ReLU} {
+		for _, sizes := range [][]int{{13, 24, 16, 4}, {5, 7, 3}, {3, 1}} {
+			fast, ref := New(21, act, sizes...), New(21, act, sizes...)
+			rng := rand.New(rand.NewSource(22))
+			vec := func(n int) []float64 {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = rng.NormFloat64()
+				}
+				return v
+			}
+			for step := 0; step < 2000; step++ {
+				x, y := vec(sizes[0]), vec(sizes[len(sizes)-1])
+				got, want := fast.TrainStep(x, y, 0.01, 0.9), refTrainStep(ref, x, y, 0.01, 0.9)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("act %d sizes %v step %d: loss %v, reference %v", act, sizes, step, got, want)
+				}
+			}
+			for l := range ref.W {
+				sameBits("W", fast.W[l], ref.W[l])
+				sameBits("B", fast.B[l], ref.B[l])
+				sameBits("mW", fast.mW[l], ref.mW[l])
+				sameBits("mB", fast.mB[l], ref.mB[l])
+			}
+			for k := 0; k < 50; k++ {
+				x := vec(sizes[0])
+				acts := refForward(ref, x)
+				sameBits("Predict", fast.Predict(x), acts[len(acts)-1])
+			}
+		}
+	}
+}
