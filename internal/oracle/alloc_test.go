@@ -7,6 +7,7 @@ import (
 
 	"socrm/internal/memo"
 	"socrm/internal/soc"
+	"socrm/internal/workload"
 )
 
 // A warm memoized label lookup sits inside the ablation-grid and repeated-
@@ -27,5 +28,16 @@ func TestLabelAppMemoizedWarmAllocFree(t *testing.T) {
 	o.LabelAppWith(app, 1) // cold fill
 	if avg := testing.AllocsPerRun(500, func() { o.LabelAppWith(app, 1) }); avg != 0 {
 		t.Fatalf("warm memoized LabelAppWith allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// A cold label is one Sweep plus one Execute per snippet; the sweep kernel
+// keeps its per-OPP terms and result blocks on the stack, so it allocates
+// nothing however large the lattice.
+func TestBestAllocFree(t *testing.T) {
+	o := New(soc.NewXU3WithStep(25), EDP)
+	s := workload.MiBench(1)[0].Snippets[0]
+	if avg := testing.AllocsPerRun(20, func() { o.Best(s) }); avg != 0 {
+		t.Fatalf("Best allocates %.1f objects per call, want 0", avg)
 	}
 }

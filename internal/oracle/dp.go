@@ -57,7 +57,7 @@ func (o *Oracle) PlanSequence(app workload.Application, sc SwitchCost, k int) Se
 		cands[i] = o.TopK(s, k)
 		costs[i] = make([]float64, len(cands[i]))
 		for j, c := range cands[i] {
-			costs[i][j] = o.Obj(o.P.Execute(s, c))
+			costs[i][j] = o.score(o.P.Execute(s, c))
 		}
 	}
 	// Forward DP.

@@ -55,10 +55,9 @@ func (o *Oracle) labelKey(app workload.Application) memo.Key {
 	return h.Sum()
 }
 
-// maxCachedLabels bounds a decoded label count; a corrupt length prefix
-// must not provoke a giant allocation before the CRC-validated payload
-// inevitably under-runs.
-const maxCachedLabels = 1 << 22
+// labelBytes is the encoded size of one label: four int64 knobs and twelve
+// float64 result fields.
+const labelBytes = 16 * 8
 
 // labelCodec round-trips []Label through snap: per label the four config
 // knobs, the three result scalars and the nine Table I counters. All
@@ -96,8 +95,11 @@ func (labelCodec) Decode(d *snap.Decoder) (any, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > maxCachedLabels {
-		return nil, fmt.Errorf("oracle: cached label count %d out of range", n)
+	// Bound the count by the bytes actually present before allocating: a
+	// corrupt or hostile prefix must fail on its own, not after a giant
+	// make() that the payload could never fill.
+	if n < 0 || n > d.Remaining()/labelBytes {
+		return nil, fmt.Errorf("oracle: cached label count %d exceeds the %d remaining bytes", n, d.Remaining())
 	}
 	labels := make([]Label, n)
 	for i := range labels {

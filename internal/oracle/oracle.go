@@ -17,20 +17,22 @@ import (
 	"socrm/internal/workload"
 )
 
-// Objective scores an execution outcome; lower is better.
-type Objective func(soc.Result) float64
+// Objective scores an execution outcome from its time and energy; lower
+// is better.
+type Objective func(timeS, energyJ float64) float64
 
 // Energy minimizes energy consumption (the Table II objective).
-func Energy(r soc.Result) float64 { return r.Energy }
+func Energy(timeS, energyJ float64) float64 { return energyJ }
 
 // EDP minimizes the energy-delay product (performance-per-watt flavored
 // objective mentioned in Section IV-A1).
-func EDP(r soc.Result) float64 { return r.Energy * r.Time }
+func EDP(timeS, energyJ float64) float64 { return energyJ * timeS }
 
 // Oracle evaluates optimal configurations on a platform.
 //
 // Labeling sweeps are the single most expensive deterministic computation
-// in the repo (~4,940 Execute calls per snippet), so LabelApp/LabelAppWith
+// in the repo (one soc.Platform.Sweep over ~4,940 configurations per
+// snippet, about 12 ns each), so LabelApp/LabelAppWith
 // memoize through an optional content-addressed cache: set Memo (shared
 // across oracles, studies and — with a disk dir — runs) and build the
 // oracle via NewNamed so ObjName carries a hashable objective identity.
@@ -42,42 +44,46 @@ type Oracle struct {
 	Obj     Objective
 	ObjName string      // canonical objective name ("energy", "edp"); keys the cache
 	Memo    *memo.Cache // optional label memoization; nil = always compute
-	configs []soc.Config
 }
 
 // New returns an Oracle for the platform and objective.
 func New(p *soc.Platform, obj Objective) *Oracle {
-	return &Oracle{P: p, Obj: obj, configs: p.Configs()}
+	return &Oracle{P: p, Obj: obj}
 }
 
 // Best sweeps the full configuration space for one snippet and returns the
-// optimal configuration with its execution result.
+// optimal configuration with its execution result. Ties go to the first
+// configuration in Configs order; only the winner runs the full Execute.
 func (o *Oracle) Best(s workload.Snippet) (soc.Config, soc.Result) {
-	bestCfg := o.configs[0]
-	bestRes := o.P.Execute(s, bestCfg)
-	bestScore := o.Obj(bestRes)
-	for _, c := range o.configs[1:] {
-		r := o.P.Execute(s, c)
-		if sc := o.Obj(r); sc < bestScore {
-			bestScore, bestCfg, bestRes = sc, c, r
+	var bestCfg soc.Config
+	var bestScore float64
+	first := true
+	o.P.Sweep(s, func(b soc.SweepBlock) {
+		for i := range b.Time {
+			if sc := o.Obj(b.Time[i], b.Energy[i]); first || sc < bestScore {
+				first, bestScore, bestCfg = false, sc, b.Config(i)
+			}
 		}
-	}
-	return bestCfg, bestRes
+	})
+	return bestCfg, o.P.Execute(s, bestCfg)
 }
 
 // BestOf restricts the sweep to the given candidate set.
 func (o *Oracle) BestOf(s workload.Snippet, candidates []soc.Config) (soc.Config, soc.Result) {
 	bestCfg := candidates[0]
 	bestRes := o.P.Execute(s, bestCfg)
-	bestScore := o.Obj(bestRes)
+	bestScore := o.score(bestRes)
 	for _, c := range candidates[1:] {
 		r := o.P.Execute(s, c)
-		if sc := o.Obj(r); sc < bestScore {
+		if sc := o.score(r); sc < bestScore {
 			bestScore, bestCfg, bestRes = sc, c, r
 		}
 	}
 	return bestCfg, bestRes
 }
+
+// score applies the objective to an execution result.
+func (o *Oracle) score(r soc.Result) float64 { return o.Obj(r.Time, r.Energy) }
 
 // TopK returns the k best configurations for a snippet, used to prune the
 // dynamic-programming search over sequences.
@@ -89,23 +95,25 @@ func (o *Oracle) TopK(s workload.Snippet, k int) []soc.Config {
 	// Keep a simple insertion-sorted window of size k; the config count
 	// dominates, k is small.
 	best := make([]scored, 0, k)
-	for _, c := range o.configs {
-		sc := o.Obj(o.P.Execute(s, c))
-		if len(best) < k {
-			best = append(best, scored{c, sc})
-			for i := len(best) - 1; i > 0 && best[i-1].score > best[i].score; i-- {
+	o.P.Sweep(s, func(b soc.SweepBlock) {
+		for j := range b.Time {
+			sc := o.Obj(b.Time[j], b.Energy[j])
+			if len(best) < k {
+				best = append(best, scored{b.Config(j), sc})
+				for i := len(best) - 1; i > 0 && best[i-1].score > best[i].score; i-- {
+					best[i-1], best[i] = best[i], best[i-1]
+				}
+				continue
+			}
+			if sc >= best[k-1].score {
+				continue
+			}
+			best[k-1] = scored{b.Config(j), sc}
+			for i := k - 1; i > 0 && best[i-1].score > best[i].score; i-- {
 				best[i-1], best[i] = best[i], best[i-1]
 			}
-			continue
 		}
-		if sc >= best[k-1].score {
-			continue
-		}
-		best[k-1] = scored{c, sc}
-		for i := k - 1; i > 0 && best[i-1].score > best[i].score; i-- {
-			best[i-1], best[i] = best[i], best[i-1]
-		}
-	}
+	})
 	out := make([]soc.Config, len(best))
 	for i, b := range best {
 		out[i] = b.cfg

@@ -277,80 +277,37 @@ func (p *Platform) MinPowerConfig() Config {
 // The performance model is a memory-wall CPI decomposition: stall cycles per
 // instruction grow linearly with core frequency (a fixed-nanosecond DRAM
 // latency costs more cycles at higher f), which is what makes the
-// energy-optimal frequency workload dependent.
-func (p *Platform) Execute(s workload.Snippet, c Config) Result {
+// energy-optimal frequency workload dependent. The model's terms live in
+// sweep.go, shared with Sweep, so both compute the same bits.
+func (p *Platform) Execute(s workload.Snippet, c Config) (r Result) {
 	if !p.Valid(c) {
 		c = p.Clamp(c)
 	}
 	lo := p.LittleOPPs[c.LittleFreqIdx]
 	bo := p.BigOPPs[c.BigFreqIdx]
-	fl := lo.FreqMHz / 1000 // GHz
-	fb := bo.FreqMHz / 1000
-
-	// Per-core CPI.
-	memPerInstr := s.MemIntensity * s.L2MissRate // L2 misses per instruction
-	stallBig := memPerInstr * p.MemLatencyNS * fb
-	stallLittle := memPerInstr * p.MemLatencyNS * fl
-	brBig := s.BranchMPKI / 1000 * p.BrPenaltyBig
-	brLittle := s.BranchMPKI / 1000 * p.BrPenaltyLittle
-	cpiBigBase := s.BaseCPI / s.ILPBigBoost
-	cpiLittleBase := s.BaseCPI * p.LittleCPIFactor
-	cpiBig := cpiBigBase + brBig + stallBig
-	cpiLittle := cpiLittleBase + brLittle + stallLittle
-
-	ipsBig := fb * 1e9 / cpiBig // instructions/second per big core
-	ipsLittle := fl * 1e9 / cpiLittle
-
+	st := p.snippetTerms(&s)
+	big := p.bigTerms(st, bo)
+	little := p.littleTerms(st, lo)
 	usedBig, usedLittle := Placement(s.Threads, c)
-	totalIPS := float64(usedBig)*ipsBig + float64(usedLittle)*ipsLittle
-	t := s.Instructions / totalIPS
+	leak := p.leakage(p.bigLeak(c.NBig, bo), p.littleLeak(c.NLittle, lo), p.tempFactor())
+	bigIPS, bigDyn := p.bigLoad(big, c.NBig, usedBig)
+	t, power := p.timePower(&s, st, bigIPS, bigDyn, little, c.NLittle, usedLittle, leak)
 
-	// Activity factor: a memory-stalled pipeline burns less dynamic power
-	// than a retiring one.
-	actBig := p.StallPowerFactor + (1-p.StallPowerFactor)*(cpiBigBase+brBig)/cpiBig
-	actLittle := p.StallPowerFactor + (1-p.StallPowerFactor)*(cpiLittleBase+brLittle)/cpiLittle
-
-	// Dynamic power: busy cores at activity level, active idle cores at the
-	// clock-gated floor.
-	pBigCore := p.CeffBigNF * bo.Volt * bo.Volt * fb // W at full activity
-	pLittleCore := p.CeffLittleNF * lo.Volt * lo.Volt * fl
-	dyn := float64(usedBig)*pBigCore*actBig +
-		float64(c.NBig-usedBig)*pBigCore*p.IdleCoreFrac +
-		float64(usedLittle)*pLittleCore*actLittle +
-		float64(c.NLittle-usedLittle)*pLittleCore*p.IdleCoreFrac
-
-	// Leakage grows with voltage squared and temperature.
-	tempFac := 1 + p.LeakTempCoeff*(p.Temp-p.TempRef)
-	if tempFac < 0.5 {
-		tempFac = 0.5
-	}
-	leak := p.BaseLeakW
-	leak += float64(c.NBig) * p.LeakBigWV2 * bo.Volt * bo.Volt
-	leak += float64(c.NLittle) * p.LeakLittleWV2 * lo.Volt * lo.Volt
-	leak *= tempFac
-
-	// Uncore/DRAM-controller power proportional to external bandwidth.
-	l2Misses := s.Instructions * memPerInstr
-	extBytes := l2Misses * p.CacheLineB
-	extBWGBs := extBytes / t / 1e9
-	memPower := p.MemBWWattPerGB * extBWGBs
-
-	power := dyn + leak + memPower
-	energy := power * t
-
-	cyc := t * (float64(usedBig)*fb + float64(usedLittle)*fl) * 1e9
-	snap := counters.Snapshot{
-		InstructionsRetired: s.Instructions,
-		CPUCycles:           cyc,
-		BranchMissPredPC:    s.Instructions * s.BranchMPKI / 1000 / float64(usedBig+usedLittle),
-		L2Misses:            l2Misses,
-		DataMemAccess:       s.Instructions * s.MemIntensity,
-		NoncacheExtMemReq:   l2Misses * 0.3,
-		LittleUtil:          utilOf(usedLittle, c.NLittle),
-		BigUtil:             utilOf(usedBig, c.NBig),
-		ChipPower:           power,
-	}
-	return Result{Time: t, Energy: energy, AvgPower: power, Counters: snap}
+	// Fill the named result field by field: a Snapshot built apart and
+	// copied in goes through wide stack moves that stall on store
+	// forwarding, a fifth of Execute's cost.
+	r.Time, r.Energy, r.AvgPower = t, power*t, power
+	k := &r.Counters
+	k.InstructionsRetired = s.Instructions
+	k.CPUCycles = t * (float64(usedBig)*big.fGHz + float64(usedLittle)*little.fGHz) * 1e9
+	k.BranchMissPredPC = s.Instructions * s.BranchMPKI / 1000 / float64(usedBig+usedLittle)
+	k.L2Misses = st.l2Misses
+	k.DataMemAccess = s.Instructions * s.MemIntensity
+	k.NoncacheExtMemReq = st.l2Misses * 0.3
+	k.LittleUtil = utilOf(usedLittle, c.NLittle)
+	k.BigUtil = utilOf(usedBig, c.NBig)
+	k.ChipPower = power
+	return r
 }
 
 // Placement models the HMP scheduler: runnable threads fill big cores
